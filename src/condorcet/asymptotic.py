@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .core import Method, WinnerProbability, pair_rows, split_candidate
 from .culture import Culture, pair_sign_matrix
-from .exact import Method, WinnerProbability
 from .orthant import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_MC_SEED,
@@ -48,8 +48,10 @@ _TWO_PI = 2.0 * math.pi
 DELTA_SIGN_TOL = 1e-12
 DEGENERATE_MARGIN_TOL = 1e-12
 
-NEG_INF = -math.inf
-POS_INF = math.inf
+# Integration threshold and its label per margin sign: a pairing won surely in
+# the limit frees its condition (-inf), one lost surely cannot hold (+inf).
+_THRESHOLDS = {1: -math.inf, 0: 0.0, -1: math.inf}
+_THRESHOLD_LABELS = {1: "-inf", 0: "0", -1: "+inf"}
 
 
 class DegenerateVarianceError(ValueError):
@@ -66,6 +68,14 @@ def lambda_matrix(culture: Culture) -> np.ndarray:
     return signs @ culture.probs
 
 
+def _margin_signs(lam: np.ndarray, tol: float) -> list[list[int]]:
+    """The sign rule: +1 above ``tol``, -1 below ``-tol``, 0 within ``tol`` of zero."""
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    lam = np.asarray(lam, dtype=float)
+    return ((lam > tol).astype(int) - (lam < -tol)).tolist()
+
+
 def classify_deltas(lam: np.ndarray, tol: float = DELTA_SIGN_TOL) -> dict[tuple[int, int], float]:
     """Integration thresholds induced by the margin signs, per ordered pair.
 
@@ -73,24 +83,9 @@ def classify_deltas(lam: np.ndarray, tol: float = DELTA_SIGN_TOL) -> dict[tuple[
     in the limit), below ``-tol`` to +inf (it fails surely), and anything
     within ``tol`` of zero to 0.
     """
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
-    lam = np.asarray(lam, dtype=float)
-    m = lam.shape[0]
-    out: dict[tuple[int, int], float] = {}
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                out[(i, j)] = _delta(lam[i, j], tol)
-    return out
-
-
-def _delta(lam_ij: float, tol: float) -> float:
-    if lam_ij > tol:
-        return NEG_INF
-    if lam_ij < -tol:
-        return POS_INF
-    return 0.0
+    signs = _margin_signs(lam, tol)
+    m = len(signs)
+    return {(i, j): _THRESHOLDS[signs[i][j]] for i in range(m) for j in range(m) if i != j}
 
 
 def _rivals(m: int, i: int) -> list[int]:
@@ -136,48 +131,44 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     return _correlation_submatrix(culture, i, rivals, lam)
 
 
+def _split_term(
+    culture: Culture, i: int, lam: np.ndarray, signs: list[list[int]]
+) -> tuple[float | None, np.ndarray | None]:
+    """Candidate i's forced limit term, or None and its balanced rivals' correlations."""
+    rivals = _rivals(culture.m, i)
+    forced, kept = split_candidate([signs[i][j] for j in rivals])
+    if forced is not None:
+        return forced, None
+    return None, _correlation_submatrix(culture, i, [rivals[k] for k in kept], lam)
+
+
 def _candidate_term(
     culture: Culture,
     i: int,
     lam: np.ndarray,
-    tol: float,
+    signs: list[list[int]],
     mc_samples: int,
     mc_seed,
 ) -> dict:
     """One candidate's contribution to the limit, with its diagnostics."""
-    rivals = _rivals(culture.m, i)
-    deltas = [_delta(lam[i, j], tol) for j in rivals]
+    forced, sub = _split_term(culture, i, lam, signs)
     term = {
         "candidate": i,
-        "deltas": [_delta_label(d) for d in deltas],
+        "deltas": [_THRESHOLD_LABELS[signs[i][j]] for j in _rivals(culture.m, i)],
         "correlation": None,
-        "L": 0.0,
+        "L": forced,
         "method": "exact",
         "stderr": None,
     }
-    if any(d == POS_INF for d in deltas):
-        return term
-    kept = [j for j, d in zip(rivals, deltas) if d == 0.0]
-    if not kept:
-        term["L"] = 1.0
-        return term
-    sub = _correlation_submatrix(culture, i, kept, lam)
-    value, stderr, method = orthant_zero_probability(sub, mc_samples, mc_seed)
-    term.update(
-        correlation=[[float(x) for x in row] for row in sub],
-        L=float(value),
-        method=method,
-        stderr=stderr,
-    )
+    if sub is not None:
+        value, stderr, method = orthant_zero_probability(sub, mc_samples, mc_seed)
+        term.update(
+            correlation=[[float(x) for x in row] for row in sub],
+            L=float(value),
+            method=method,
+            stderr=stderr,
+        )
     return term
-
-
-def _delta_label(d: float) -> str:
-    if d == NEG_INF:
-        return "-inf"
-    if d == POS_INF:
-        return "+inf"
-    return "0"
 
 
 def limiting_probability(
@@ -198,14 +189,15 @@ def limiting_probability(
     holds the three-candidate table row when m = 3.
     """
     lam = lambda_matrix(culture)
+    signs = _margin_signs(lam, tol)
     terms = [
-        _candidate_term(culture, i, lam, tol, mc_samples, mc_seed)
+        _candidate_term(culture, i, lam, signs, mc_samples, mc_seed)
         for i in range(culture.m)
     ]
     total = math.fsum(t["L"] for t in terms)
     detail = {"terms": terms, "terms_sum": total}
     if culture.m == 3:
-        detail["case"] = _TABLE1_BY_SIGNS[_sign_triple(lam, tol)].number
+        detail["case"] = _table1_row(signs).number
     return WinnerProbability(min(max(total, 0.0), 1.0), Method.LIMIT, detail=detail)
 
 
@@ -235,19 +227,16 @@ class Table1Row:
 
 def _term_structure_note(signs: tuple[int, int, int]) -> str:
     """Describe the three orthant terms produced by a sign pattern."""
-    s01, s02, s12 = signs
+    upper = np.zeros((3, 3))
+    upper[np.triu_indices(3, 1)] = signs
+    matrix = _margin_signs(upper - upper.T, 0.0)
     pieces = []
-    for i, pair_signs in ((0, (s01, s02)), (1, (-s01, s12)), (2, (-s02, -s12))):
-        if any(s < 0 for s in pair_signs):
-            pieces.append("0")
+    for i in range(3):
+        forced, kept = split_candidate([matrix[i][j] for j in _rivals(3, i)])
+        if forced is not None:
+            pieces.append(f"{forced:g}")
         else:
-            zeros = sum(1 for s in pair_signs if s == 0)
-            if zeros == 0:
-                pieces.append("1")
-            elif zeros == 1:
-                pieces.append("1/2")
-            else:
-                pieces.append(f"L2(R{i})")
+            pieces.append("1/2" if len(kept) == 1 else f"L2(R{i})")
     return "terms " + " + ".join(pieces)
 
 
@@ -292,15 +281,9 @@ TABLE1: tuple[Table1Row, ...] = _build_table1()
 _TABLE1_BY_SIGNS: dict[tuple[int, int, int], Table1Row] = {row.signs: row for row in TABLE1}
 
 
-def _sign_triple(lam: np.ndarray, tol: float) -> tuple[int, int, int]:
-    def sgn(x: float) -> int:
-        if x > tol:
-            return 1
-        if x < -tol:
-            return -1
-        return 0
-
-    return (sgn(lam[0, 1]), sgn(lam[0, 2]), sgn(lam[1, 2]))
+def _table1_row(signs: list[list[int]]) -> Table1Row:
+    """The table row of a three-candidate sign matrix."""
+    return _TABLE1_BY_SIGNS[(signs[0][1], signs[0][2], signs[1][2])]
 
 
 def classify_m3(culture: Culture, tol: float = DELTA_SIGN_TOL) -> tuple[int, float]:
@@ -312,8 +295,7 @@ def classify_m3(culture: Culture, tol: float = DELTA_SIGN_TOL) -> tuple[int, flo
     """
     if culture.m != 3:
         raise ValueError(f"classification table applies to m=3, got m={culture.m}")
-    lam = lambda_matrix(culture)
-    row = _TABLE1_BY_SIGNS[_sign_triple(lam, tol)]
+    row = _table1_row(_margin_signs(lambda_matrix(culture), tol))
     if row.kind == "sum3":
         value = math.fsum(
             0.25 + math.asin(float(correlation_matrix(culture, i)[0, 1])) / _TWO_PI
@@ -331,15 +313,6 @@ def classify_m3(culture: Culture, tol: float = DELTA_SIGN_TOL) -> tuple[int, flo
     return row.number, value
 
 
-_MARGIN_COEFFS = np.array(
-    [
-        [1.0, 1.0, -1.0, -1.0, 1.0, -1.0],  # margin of candidate 0 over 1
-        [1.0, 1.0, 1.0, -1.0, -1.0, -1.0],  # margin of candidate 0 over 2
-        [1.0, -1.0, 1.0, 1.0, -1.0, -1.0],  # margin of candidate 1 over 2
-    ]
-)
-
-
 def sign_pattern_culture(signs: tuple[int, int, int], magnitude: float = 0.12) -> Culture:
     """Three-candidate culture whose expected margins realize a sign pattern.
 
@@ -350,8 +323,9 @@ def sign_pattern_culture(signs: tuple[int, int, int], magnitude: float = 0.12) -
     if len(signs) != 3 or any(s not in (-1, 0, 1) for s in signs):
         raise ValueError(f"signs must be a triple over {{-1, 0, 1}}, got {signs!r}")
     target = magnitude * np.asarray(signs, dtype=float)
-    gram = _MARGIN_COEFFS @ _MARGIN_COEFFS.T
-    probs = np.full(6, 1.0 / 6.0) + _MARGIN_COEFFS.T @ np.linalg.solve(gram, target)
+    coeffs = pair_rows(3).astype(float)  # margins of pairs (0,1), (0,2), (1,2) per order
+    gram = coeffs @ coeffs.T
+    probs = np.full(6, 1.0 / 6.0) + coeffs.T @ np.linalg.solve(gram, target)
     if probs.min() <= 0.0:
         raise ValueError(f"magnitude {magnitude!r} pushes a probability below zero")
     return Culture(3, probs)
@@ -409,18 +383,14 @@ def audit_table1(
                 f"constructed culture for row {row.number} classified as {number}"
             )
         lam = lambda_matrix(culture)
+        signs = _margin_signs(lam, DELTA_SIGN_TOL)
         mc_total = 0.0
         variance = 0.0
         for i in range(3):
-            rivals = _rivals(3, i)
-            deltas = [_delta(lam[i, j], DELTA_SIGN_TOL) for j in rivals]
-            if any(d == POS_INF for d in deltas):
+            forced, sub = _split_term(culture, i, lam, signs)
+            if sub is None:
+                mc_total += forced
                 continue
-            kept = [j for j, d in zip(rivals, deltas) if d == 0.0]
-            if not kept:
-                mc_total += 1.0
-                continue
-            sub = _correlation_submatrix(culture, i, kept, lam)
             estimate, stderr = orthant_mc(sub, samples, seed=(seed, row.number, i))
             mc_total += estimate
             variance += stderr**2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .asymptotic import (
@@ -84,10 +85,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_count(text: str) -> int:
-    value = int(float(text))
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"count must be >= 1, got {text!r}")
-    return value
+    number = float(text)
+    if not (math.isfinite(number) and number >= 1):
+        raise argparse.ArgumentTypeError(f"count must be finite and >= 1, got {text!r}")
+    return int(number)
 
 
 def _emit(args, table: str, csv_text: str, json_obj) -> None:
@@ -108,7 +109,7 @@ def _emit(args, table: str, csv_text: str, json_obj) -> None:
             handle.write(payload)
 
 
-def _scalar_outputs(value: float, json_obj) -> tuple[str, str]:
+def _scalar_outputs(value: float) -> tuple[str, str]:
     return f"{value:.5f}", f"value\n{value!r}\n"
 
 
@@ -125,7 +126,7 @@ def _cmd_exact(args) -> int:
         "mode": args.mode,
         "detail": result.detail,
     }
-    table, csv_text = _scalar_outputs(result.value, obj)
+    table, csv_text = _scalar_outputs(result.value)
     _emit(args, table, csv_text, obj)
     return 0
 
@@ -155,7 +156,7 @@ def _cmd_limit(args) -> int:
         "terms": result.detail["terms"],
         "case": result.detail.get("case"),
     }
-    table, csv_text = _scalar_outputs(result.value, obj)
+    table, csv_text = _scalar_outputs(result.value)
     _emit(args, table, csv_text, obj)
     return 0
 

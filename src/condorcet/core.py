@@ -1,0 +1,103 @@
+"""The pairwise-margin layout, the per-candidate winner condition, the result type.
+
+Exact enumeration, Monte Carlo and the large-electorate limit all work on the
+P = m(m-1)/2 signed margins of the pairs (i, j), i < j, in row-major order, and
+all ask whether a candidate wins every pairing.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .culture import pair_sign_matrix
+
+
+class WinnerMode(enum.Enum):
+    """Strong winners need every pairwise margin >= 1; weak winners >= 0."""
+
+    STRONG = "strong"
+    WEAK = "weak"
+
+    @property
+    def margin_threshold(self) -> int:
+        return 1 if self is WinnerMode.STRONG else 0
+
+
+class Method(enum.Enum):
+    EXACT = "exact"
+    MONTE_CARLO = "monte-carlo"
+    LIMIT = "limit"
+
+
+@dataclass(frozen=True)
+class WinnerProbability:
+    """A winner-existence probability with its computation method.
+
+    ``stderr`` is set exactly when the method is Monte Carlo. ``detail`` holds
+    method-specific diagnostics (per-candidate terms, enumeration size, ...).
+    """
+
+    value: float
+    method: Method
+    stderr: float | None = None
+    detail: dict | None = None
+
+    def __post_init__(self) -> None:
+        v = float(self.value)
+        if not -1e-12 <= v <= 1.0 + 1e-12:
+            raise ValueError(f"probability out of range: {v!r}")
+        object.__setattr__(self, "value", min(max(v, 0.0), 1.0))
+        if (self.stderr is not None) != (self.method is Method.MONTE_CARLO):
+            raise ValueError("stderr must be present exactly for Monte Carlo results")
+        if self.stderr is not None and self.stderr < 0.0:
+            raise ValueError(f"negative stderr: {self.stderr!r}")
+
+
+@lru_cache(maxsize=None)
+def _pair_list(m: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
+
+
+@lru_cache(maxsize=None)
+def pair_rows(m: int) -> np.ndarray:
+    """Read-only (P, K) int8 array: +1 where order k ranks pair p's first candidate higher.
+
+    Pairs run (0, 1), (0, 2), ..., (m-2, m-1); other entries are -1. Cast to
+    int64 before scaling by vote counts: int8 overflows past 127.
+    """
+    rows = pair_sign_matrix(m)[np.triu_indices(m, 1)]
+    rows.flags.writeable = False
+    return rows
+
+
+def winners_mask(margins: np.ndarray, m: int, threshold: int) -> np.ndarray:
+    """Which candidate wins every pairing, per profile: an (m, N) bool array.
+
+    ``margins`` is (N, P) in :func:`pair_rows` order, holding the signed
+    margin of each pair's first candidate over its second. Candidate c wins
+    when each of its margins is at least ``threshold``.
+    """
+    out = np.ones((m, margins.shape[0]), dtype=bool)
+    for col, (a, b) in enumerate(_pair_list(m)):
+        column = margins[:, col]
+        out[a] &= column >= threshold
+        out[b] &= column <= -threshold
+    return out
+
+
+def split_candidate(signs) -> tuple[float | None, list[int]]:
+    """Split one candidate's limit term by the signs of its margins over its rivals.
+
+    Returns (0.0, []) when a sign is negative (a pairing surely lost) and
+    (1.0, []) when none is zero (every pairing surely won). Otherwise returns
+    None and the positions of the balanced (zero-sign) rivals, whose margins'
+    orthant probability is the term.
+    """
+    if any(s < 0 for s in signs):
+        return 0.0, []
+    kept = [k for k, s in enumerate(signs) if s == 0]
+    return (None if kept else 1.0), kept

@@ -5,9 +5,9 @@ candidates, most preferred first, and the K = m! orders are indexed in
 lexicographic sequence. Every probability vector in this package is aligned
 with that canonical indexing (index 0 is always (0, 1, ..., m-1)).
 
-Cultures are validated strictly: entries must be non-negative and sum to one
-within 1e-12. Inputs that fail are rejected rather than silently renormalized,
-so data errors surface at the boundary instead of being averaged away.
+Cultures are validated strictly: entries must be finite, non-negative and sum
+to one within 1e-12. Inputs that fail are rejected, never renormalized, so data
+errors surface at the boundary instead of being averaged away.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ class Culture:
             raise CultureFormatError(
                 f"expected {k} probabilities for m={self.m}, got shape {p.shape}"
             )
-        if np.any(p < 0.0):
-            bad = int(np.argmin(p))
+        if not np.all(p >= 0.0):
+            bad = int(np.argmin(p))  # the first NaN if there is one
             raise CultureFormatError(
-                f"negative probability {p[bad]!r} at order index {bad}"
+                f"negative or NaN probability {float(p[bad])!r} at order index {bad}"
             )
         total = float(p.sum())
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:

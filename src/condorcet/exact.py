@@ -8,62 +8,20 @@ probability attained by the cyclic culture.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc
 
-from .culture import Culture, pair_sign_matrix
+from .core import Method, WinnerMode, WinnerProbability, pair_rows, winners_mask
+from .culture import Culture
 
 DEFAULT_COMPOSITION_BUDGET = 50_000_000
 
 
-class WinnerMode(enum.Enum):
-    """Strong winners need every pairwise margin >= 1; weak winners >= 0."""
-
-    STRONG = "strong"
-    WEAK = "weak"
-
-    @property
-    def margin_threshold(self) -> int:
-        return 1 if self is WinnerMode.STRONG else 0
-
-
-class Method(enum.Enum):
-    EXACT = "exact"
-    MONTE_CARLO = "monte-carlo"
-    LIMIT = "limit"
-
-
 class EnumerationBudgetError(RuntimeError):
     """Requested enumeration exceeds the configured composition budget."""
-
-
-@dataclass(frozen=True)
-class WinnerProbability:
-    """A winner-existence probability with its computation method.
-
-    ``stderr`` is set exactly when the method is Monte Carlo. ``detail`` holds
-    method-specific diagnostics (per-candidate terms, enumeration size, ...).
-    """
-
-    value: float
-    method: Method
-    stderr: float | None = None
-    detail: dict | None = None
-
-    def __post_init__(self) -> None:
-        v = float(self.value)
-        if not -1e-12 <= v <= 1.0 + 1e-12:
-            raise ValueError(f"probability out of range: {v!r}")
-        object.__setattr__(self, "value", min(max(v, 0.0), 1.0))
-        if (self.stderr is not None) != (self.method is Method.MONTE_CARLO):
-            raise ValueError("stderr must be present exactly for Monte Carlo results")
-        if self.stderr is not None and self.stderr < 0.0:
-            raise ValueError(f"negative stderr: {self.stderr!r}")
 
 
 @dataclass(frozen=True)
@@ -94,44 +52,15 @@ def condorcet_winners(profile: VoterProfile, mode: WinnerMode = WinnerMode.STRON
     A strong winner is unique when it exists; weak winners can tie through
     zero margins, so the list may have several entries.
     """
-    margins = pair_sign_matrix(profile.m) @ profile.counts  # [i, j] = margin of i over j
-    thr = mode.margin_threshold
-    winners = []
-    for i in range(profile.m):
-        row = np.delete(margins[i], i)
-        if row.size == 0 or row.min() >= thr:
-            winners.append(i)
-    return winners
+    margins = pair_rows(profile.m).astype(np.int64) @ profile.counts
+    won = winners_mask(margins[None, :], profile.m, mode.margin_threshold)[:, 0]
+    return np.flatnonzero(won).tolist()
 
 
 def condorcet_winner(profile: VoterProfile, mode: WinnerMode = WinnerMode.STRONG) -> int | None:
     """Lowest-index qualifying candidate, or None when no candidate qualifies."""
     winners = condorcet_winners(profile, mode)
     return winners[0] if winners else None
-
-
-@lru_cache(maxsize=None)
-def _pair_list(m: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
-
-
-def _winner_exists_mask(margins: np.ndarray, m: int, threshold: int) -> np.ndarray:
-    """Boolean mask over profiles: does any candidate beat all others?
-
-    ``margins`` has one row per profile and one column per unordered pair
-    (i, j) with i < j, holding the signed margin of i over j.
-    """
-    pairs = _pair_list(m)
-    exists = np.zeros(margins.shape[0], dtype=bool)
-    for i in range(m):
-        ok = np.ones(margins.shape[0], dtype=bool)
-        for col, (a, b) in enumerate(pairs):
-            if a == i:
-                ok &= margins[:, col] >= threshold
-            elif b == i:
-                ok &= margins[:, col] <= -threshold
-        exists |= ok
-    return exists
 
 
 def exact_winner_probability(
@@ -171,9 +100,7 @@ def exact_winner_probability(
         detail["total_mass"] = 1.0
         return WinnerProbability(1.0, Method.EXACT, detail=detail)
 
-    pairs = _pair_list(m)
-    signs = pair_sign_matrix(m)
-    pair_rows = np.array([signs[i, j][support] for (i, j) in pairs], dtype=np.int64)
+    rows = pair_rows(m)[:, support].astype(np.int64)
     log_p = np.log(culture.probs[support])
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
 
@@ -191,17 +118,17 @@ def exact_winner_probability(
         )
         tail_margins = (
             margins[None, :]
-            + np.outer(k, pair_rows[:, s - 2])
-            + np.outer(remaining - k, pair_rows[:, s - 1])
+            + np.outer(k, rows[:, s - 2])
+            + np.outer(remaining - k, rows[:, s - 1])
         )
         weights = np.exp(lw)
-        exists = _winner_exists_mask(tail_margins, m, threshold)
+        exists = winners_mask(tail_margins, m, threshold).any(axis=0)
         win_parts.append(float(weights[exists].sum()))
         total_parts.append(float(weights.sum()))
 
     def flush_leaf(log_w: float, margins: np.ndarray) -> None:
         weight = math.exp(log_w)
-        exists = _winner_exists_mask(margins[None, :], m, threshold)[0]
+        exists = winners_mask(margins[None, :], m, threshold).any()
         if exists:
             win_parts.append(weight)
         total_parts.append(weight)
@@ -209,7 +136,7 @@ def exact_winner_probability(
     # Depth-first walk over the first s-2 coordinates; the last two are
     # evaluated vectorized. Once the remaining voter budget hits zero the
     # composition is determined, which keeps sparse supports linear.
-    root_margins = np.zeros(len(pairs), dtype=np.int64)
+    root_margins = np.zeros(rows.shape[0], dtype=np.int64)
     stack: list[tuple[int, int, float, np.ndarray]] = [(0, n, log_fact[n], root_margins)]
     while stack:
         level, remaining, log_w, margins = stack.pop()
@@ -225,7 +152,7 @@ def exact_winner_probability(
                     level + 1,
                     remaining - k,
                     log_w + k * log_p[level] - log_fact[k],
-                    margins + k * pair_rows[:, level],
+                    margins + k * rows[:, level],
                 )
             )
 

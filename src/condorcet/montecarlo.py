@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .culture import Culture, pair_sign_matrix
-from .exact import Method, WinnerMode, WinnerProbability, _pair_list, _winner_exists_mask
+from .core import Method, WinnerMode, WinnerProbability, pair_rows, winners_mask
+from .culture import Culture
 
 _CHUNK = 1 << 16
 
@@ -45,18 +45,15 @@ def _worker_count() -> int:
 
 
 def _count_wins(culture: Culture, n: int, trials: int, threshold: int, stream: int, seed: int) -> int:
-    pair_rows = np.array(
-        [pair_sign_matrix(culture.m)[i, j] for (i, j) in _pair_list(culture.m)],
-        dtype=np.int64,
-    ).T  # (K, P)
+    rows = pair_rows(culture.m).T.astype(np.int64)  # (K, P)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
     wins = 0
     remaining = trials
     while remaining > 0:
         batch = min(_CHUNK, remaining)
         counts = rng.multinomial(n, culture.probs, size=batch)
-        margins = counts @ pair_rows
-        wins += int(np.count_nonzero(_winner_exists_mask(margins, culture.m, threshold)))
+        margins = counts @ rows
+        wins += int(np.count_nonzero(winners_mask(margins, culture.m, threshold).any(axis=0)))
         remaining -= batch
     return wins
 

@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from .core import split_candidate
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -215,9 +217,8 @@ def orthant_probability(
     finite = np.isfinite(deltas)
     if np.any(deltas[finite] != 0.0):
         raise ValueError("finite thresholds must be exactly 0")
-    if np.any(deltas == math.inf):
-        return 0.0
-    keep = deltas == 0.0
-    sub = r[np.ix_(keep, keep)]
-    value, _, _ = orthant_zero_probability(sub, mc_samples, mc_seed)
+    forced, kept = split_candidate(-np.sign(deltas))  # a +inf threshold is a lost pairing
+    if forced is not None:
+        return forced
+    value, _, _ = orthant_zero_probability(r[np.ix_(kept, kept)], mc_samples, mc_seed)
     return value

@@ -125,6 +125,8 @@ class TestClassifyDeltas:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             classify_deltas(np.zeros((2, 2)), tol=-1.0)
+        with pytest.raises(ValueError):
+            classify_deltas(np.zeros((2, 2)), tol=math.nan)
 
 
 class TestLimitingProbability:

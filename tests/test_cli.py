@@ -180,6 +180,44 @@ class TestExitCodes:
             main(["exact", "--culture", "ic", "--m", "3", "--n", "3", "--bogus"])
         assert excinfo.value.code == 2
 
+    def test_nan_culture_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"m": 3, "probs": [NaN, 0.2, 0.2, 0.2, 0.2, 0.2]}')
+        code, out, err = run_cli(capsys, "exact", "--culture", str(path), "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "NaN probability" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mc", "--culture", "ic", "--m", "3", "--n", "11", "--trials", "inf"),
+            ("limit", "--culture", "ic", "--m", "3", "--samples", "inf"),
+            ("exact", "--culture", "ic", "--m", "3", "--n", "3", "--budget", "inf"),
+        ],
+        ids=["trials", "samples", "budget"],
+    )
+    def test_infinite_count_is_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("limit", "--culture", "ic", "--m", "3", "--tol", "-1"),
+            ("limit", "--culture", "cyclic", "--m", "3", "--tol", "nan"),
+            ("classify", "--culture", "ic", "--m", "3", "--tol", "-1"),
+        ],
+        ids=["limit-negative", "limit-nan", "classify-negative"],
+    )
+    def test_bad_tolerance_is_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
     def test_classify_wrong_m_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--culture", "ic", "--m", "4")
         assert code == 2

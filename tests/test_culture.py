@@ -187,6 +187,10 @@ class TestCultureValidation:
         with pytest.raises(CultureFormatError, match="sum"):
             Culture(3, np.full(6, 0.16))
 
+    def test_nan_rejected(self):
+        with pytest.raises(CultureFormatError, match="NaN probability .*nan"):
+            Culture(3, [math.nan, 0.2, 0.2, 0.2, 0.2, 0.2])
+
     def test_wrong_length_rejected(self):
         with pytest.raises(CultureFormatError, match="expected 6"):
             Culture(3, np.full(5, 0.2))
@@ -241,6 +245,14 @@ class TestSerialization:
         text = "order,prob\n0-x,0.5\n1-0,0.5\n"
         with pytest.raises(CultureFormatError, match="line 2"):
             culture_from_csv(text)
+
+    def test_csv_nan_rejected(self):
+        with pytest.raises(CultureFormatError, match="NaN probability .*nan"):
+            culture_from_csv("order,prob\n0-1,nan\n1-0,1.0\n")
+
+    def test_json_nan_rejected(self):
+        with pytest.raises(CultureFormatError, match="NaN probability .*nan"):
+            culture_from_json('{"m": 2, "probs": [NaN, 1.0]}')
 
     def test_json_schema_errors(self):
         with pytest.raises(CultureFormatError):
