@@ -73,6 +73,8 @@ def _margin_signs(lam: np.ndarray, tol: float) -> list[list[int]]:
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     lam = np.asarray(lam, dtype=float)
+    if np.isnan(lam).any():
+        raise ValueError("margin matrix has a NaN entry")
     return ((lam > tol).astype(int) - (lam < -tol)).tolist()
 
 

@@ -255,7 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, culture=True, needs_m=True)
     p.add_argument("--n", type=int, required=True, help="number of voters")
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p.add_argument("--budget", type=_parse_count, default=50_000_000)
+    p.add_argument(
+        "--budget",
+        type=_parse_count,
+        default=50_000_000,
+        help="refuse when n voters have more vote-count compositions over the support than this",
+    )
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate (one or more voter counts)")

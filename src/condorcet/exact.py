@@ -1,18 +1,20 @@
 """Finite-electorate computations on vote-count profiles.
 
 Covers winner determination for a concrete profile, the exact probability that
-a winner exists under a culture (full multinomial enumeration), tie
-probabilities for even electorates, and the closed-form minimum winner
-probability attained by the cyclic culture.
+a winner exists under a culture (an order-by-order convolution over pairwise
+tally states), tie probabilities for even electorates, and the closed-form
+minimum winner probability attained by the cyclic culture.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .core import Method, WinnerMode, WinnerProbability, pair_rows, winners_mask
 from .culture import Culture
@@ -21,7 +23,7 @@ DEFAULT_COMPOSITION_BUDGET = 50_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Requested enumeration exceeds the configured composition budget."""
+    """Requested exact computation exceeds the composition budget or a 63-bit state."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,93 @@ def condorcet_winner(profile: VoterProfile, mode: WinnerMode = WinnerMode.STRONG
     return winners[0] if winners else None
 
 
+@lru_cache(maxsize=128)
+def _tally_basis(
+    m: int, support: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Pairs whose tallies, with the voter count t, fix every pair's tally.
+
+    Over the support, w_q counts the voters ranking pair q's first candidate
+    higher. Pairs are kept while their 0/1 rows are linearly independent of the
+    all-ones row and of the pairs kept before them. Returns the kept pairs and,
+    per pair q, integers (D, c_0, ..., c_P) with D w_q = c_0 t + sum_p c_(p+1) w_p.
+    """
+    tally_rows = np.vstack([np.ones(len(support), np.int64), pair_rows(m)[:, list(support)] > 0])
+    # A Gram matrix's rows obey the same linear relations as the rows it is built from.
+    rows = (tally_rows @ tally_rows.T).tolist()
+    size = len(rows)
+    echelon, kept, decode = [], [], []
+    for index, row in enumerate(rows):
+        # Fraction-free elimination of the row, followed by its coefficients over ``rows``.
+        vec = row + [int(g == index) for g in range(size)]
+        for pivot, e_vec in echelon:
+            a, b = e_vec[pivot], vec[pivot]
+            if b:
+                vec = [a * x - b * y for x, y in zip(vec, e_vec)]
+                g = math.gcd(*vec)
+                vec = [x // g for x in vec]
+        if any(vec[:size]):
+            echelon.append((next(k for k, x in enumerate(vec) if x), vec))
+            kept.append(index)
+            decode.append((1, *(int(g == index) for g in range(size))))
+        else:
+            combo = vec[size:]
+            decode.append((combo[index], *(0 if g == index else -c for g, c in enumerate(combo))))
+    return tuple(g - 1 for g in kept[1:]), tuple(decode[1:])
+
+
+_BLOCK = 1 << 20  # candidate states expanded at once while fewer states are merged
+
+
+def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order, each with the summed weight of its copies.
+
+    Sorts ``keys`` in place.
+    """
+    order = np.argsort(keys)
+    keys.sort()
+    weights = weights[order]
+    del order
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(weights, first)
+
+
+def _take(
+    keys: np.ndarray,
+    weights: np.ndarray,
+    left: np.ndarray,
+    step: np.int64,
+    log_fact: np.ndarray,
+    log_k: np.ndarray,
+    log_rest: np.ndarray,
+    merge: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merged states after one order takes k of the ``left`` voters of each state.
+
+    Taking k of big voters has probability C(big, k) q^k (1 - q)^(big - k), from
+    ``log_k`` = log k! - k log q and ``log_rest`` = log k! - k log(1 - q). Blocks of
+    states are expanded in turn, so memory follows the number of merged states.
+    """
+    counts = left + 1
+    ends = np.cumsum(counts)
+    lo, merged = 0, (keys[:0], weights[:0])
+    while lo < keys.size:
+        cap = ends[lo] - counts[lo] + max(_BLOCK, merged[0].size)
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, "right")))
+        block = counts[lo:hi]
+        k = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
+        big = np.repeat(left[lo:hi], block)
+        pmf = log_fact[big] - log_k[k]
+        pmf -= log_rest[big - k]
+        new = np.repeat(keys[lo:hi], block) + (k * step).astype(keys.dtype)
+        new = np.concatenate((merged[0], new))
+        mass = np.concatenate((merged[1], np.repeat(weights[lo:hi], block) * np.exp(pmf, out=pmf)))
+        del k, big, pmf, merged
+        merged = merge(new, mass)
+        lo = hi
+    return merged
+
+
 def exact_winner_probability(
     culture: Culture,
     n: int,
@@ -71,94 +160,77 @@ def exact_winner_probability(
 ) -> WinnerProbability:
     """Exact probability that a winner exists among n independent voters.
 
-    Enumerates every composition of n over the culture's support (orders with
-    zero probability are pruned), accumulating multinomial masses in log space
-    with compensated summation of the partial sums. The result is
-    deterministic and bit-identical across runs.
+    Places the voters order by order over the culture's support (orders with
+    zero probability are pruned): order j takes k of the voters left with the
+    binomial probability of k given that none of them chose an earlier order,
+    the last order takes the rest, and states with equal tallies merge. A
+    state packs the voters placed and the tallies of the pairs of
+    :func:`_tally_basis` as base-(n+1) digits into one unsigned integer. The
+    result is deterministic and bit-identical across runs.
 
     Raises
     ------
     EnumerationBudgetError
-        If the number of compositions exceeds ``budget``.
+        If the number of compositions of n over the support exceeds ``budget``
+        (fewer than twice that many states are visited), or if a state needs
+        more than 63 bits.
     """
     if n < 1:
         raise ValueError(f"voter count must be >= 1, got {n}")
     support = culture.support()
     s = len(support)
     n_compositions = math.comb(n + s - 1, s - 1)
-    if n_compositions > budget:
+    basis, decode = _tally_basis(culture.m, tuple(support.tolist()))
+    base, digits = n + 1, len(basis) + 1
+    if n_compositions > budget or base**digits > 2**63:
         raise EnumerationBudgetError(
-            f"{n_compositions} compositions of n={n} voters over {s} orders "
-            f"exceed the budget of {budget}; use the Monte Carlo estimator"
+            f"{n_compositions} compositions of n={n} voters over {s} orders exceed the budget of "
+            f"{budget}, or states of {digits} base-{base} digits exceed 63 bits; use the Monte "
+            "Carlo estimator"
         )
-    m = culture.m
-    threshold = mode.margin_threshold
+
+    # Digit 0 counts the voters placed, digit i + 1 the tally of basis pair i.
+    place = base ** np.arange(digits, dtype=np.uint64)
+    steps = place[0] + place[1:] @ (pair_rows(culture.m)[list(basis)][:, support] > 0)
+    probs = culture.probs[support]
+    # Order j's share of the probability of orders j, j + 1, ... (the last order needs none).
+    q = (probs / np.cumsum(probs[::-1])[::-1])[:-1, None]
+    ramp = np.arange(n + 1 if s > 1 else 1)  # a single order needs no tables
+    log_fact = gammaln(ramp + 1)
+    log_k, log_rest = log_fact - xlogy(ramp, q), log_fact - xlog1py(ramp, -q)
+    # With s affinely independent orders no state is reached twice, so none merge.
+    merge = _merge if digits < s else lambda keys, weights: (keys, weights)
+    keys, weights = np.zeros(1, dtype=np.min_scalar_type(base**digits - 1)), np.ones(1)
+    placed, parts, pending = (keys[:0], weights[:0]), [], 0
+    for j, step in enumerate(steps.astype(np.int64)):
+        left = n - (keys % base).astype(np.intp)
+        if j < s - 1:
+            keys, weights = _take(keys, weights, left, step, log_fact, log_k[j], log_rest[j], merge)
+        else:  # the last order takes every voter left
+            keys = keys + (left * step).astype(keys.dtype)
+        # States with every voter placed leave the walk; later orders take none of them.
+        done = keys % base == n
+        parts.append((keys[done], weights[done]))
+        keys, weights = keys[~done], weights[~done]
+        pending += parts[-1][0].size
+        if j == s - 1 or pending > max(_BLOCK, placed[0].size):
+            placed = merge(*map(np.concatenate, zip(placed, *parts)))
+            parts, pending = [], 0
+    keys, weights = placed
+    del placed
+
+    tallies = {0: n}
+    for i, pair in enumerate(basis):
+        tallies[pair + 1] = (keys // place[i + 1] % base).astype(np.min_scalar_type(n))
+    # Margins 2 w - n lie in [-n, n]; a type sized from -2n also holds +n.
+    margins = np.empty((keys.size, len(decode)), dtype=np.min_scalar_type(-2 * n), order="F")
+    for col, (d, *coeffs) in enumerate(decode):
+        tally = sum(np.int64(c) * tallies[g] for g, c in enumerate(coeffs) if c)
+        margins[:, col] = 2 * (tally // d) - n
+    exists = winners_mask(margins, culture.m, mode.margin_threshold).any(axis=0)
     detail = {"compositions": n_compositions, "support_size": s}
-
-    if s == 1:
-        # Single possible profile: the order's top candidate beats everyone.
-        detail["total_mass"] = 1.0
-        return WinnerProbability(1.0, Method.EXACT, detail=detail)
-
-    rows = pair_rows(m)[:, support].astype(np.int64)
-    log_p = np.log(culture.probs[support])
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-
-    win_parts: list[float] = []
-    total_parts: list[float] = []
-
-    def flush_tail(remaining: int, log_w: float, margins: np.ndarray) -> None:
-        k = np.arange(remaining + 1)
-        lw = (
-            log_w
-            + k * log_p[s - 2]
-            + (remaining - k) * log_p[s - 1]
-            - log_fact[k]
-            - log_fact[k[::-1]]
-        )
-        tail_margins = (
-            margins[None, :]
-            + np.outer(k, rows[:, s - 2])
-            + np.outer(remaining - k, rows[:, s - 1])
-        )
-        weights = np.exp(lw)
-        exists = winners_mask(tail_margins, m, threshold).any(axis=0)
-        win_parts.append(float(weights[exists].sum()))
-        total_parts.append(float(weights.sum()))
-
-    def flush_leaf(log_w: float, margins: np.ndarray) -> None:
-        weight = math.exp(log_w)
-        exists = winners_mask(margins[None, :], m, threshold).any()
-        if exists:
-            win_parts.append(weight)
-        total_parts.append(weight)
-
-    # Depth-first walk over the first s-2 coordinates; the last two are
-    # evaluated vectorized. Once the remaining voter budget hits zero the
-    # composition is determined, which keeps sparse supports linear.
-    root_margins = np.zeros(rows.shape[0], dtype=np.int64)
-    stack: list[tuple[int, int, float, np.ndarray]] = [(0, n, log_fact[n], root_margins)]
-    while stack:
-        level, remaining, log_w, margins = stack.pop()
-        if remaining == 0:
-            flush_leaf(log_w, margins)
-            continue
-        if level == s - 2:
-            flush_tail(remaining, log_w, margins)
-            continue
-        for k in range(remaining + 1):
-            stack.append(
-                (
-                    level + 1,
-                    remaining - k,
-                    log_w + k * log_p[level] - log_fact[k],
-                    margins + k * rows[:, level],
-                )
-            )
-
-    value = math.fsum(win_parts)
-    detail["total_mass"] = math.fsum(total_parts)
-    return WinnerProbability(min(value, 1.0), Method.EXACT, detail=detail)
+    detail.update(total_mass=float(weights.sum()), states=int(keys.size))
+    return WinnerProbability(min(float(weights[exists].sum()), 1.0), Method.EXACT, detail=detail)
 
 
 def tie_probability(n: int, p_ij: float) -> float:

@@ -214,6 +214,8 @@ def orthant_probability(
             f"got {deltas.shape[0] if deltas.ndim else 0} thresholds "
             f"for a correlation matrix of dimension {r.shape[0]}"
         )
+    if np.isnan(deltas).any():
+        raise ValueError("thresholds must not be NaN")
     finite = np.isfinite(deltas)
     if np.any(deltas[finite] != 0.0):
         raise ValueError("finite thresholds must be exactly 0")

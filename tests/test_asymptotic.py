@@ -128,6 +128,10 @@ class TestClassifyDeltas:
         with pytest.raises(ValueError):
             classify_deltas(np.zeros((2, 2)), tol=math.nan)
 
+    def test_nan_margin_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            classify_deltas(np.array([[0.0, math.nan], [math.nan, 0.0]]))
+
 
 class TestLimitingProbability:
     def test_impartial_m3(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import condorcet.exact as exact_module
 from condorcet import (
     Culture,
     EnumerationBudgetError,
@@ -61,6 +62,47 @@ def sequence_oracle(culture: Culture, n: int, mode=WinnerMode.STRONG) -> float:
         ):
             total += prob
     return total
+
+
+def fraction_oracle(m: int, weights, n: int, mode=WinnerMode.STRONG) -> tuple[Fraction, int]:
+    """Independent check in exact rationals: every composition of n over the support.
+
+    Order k has probability weights[k] / sum(weights). Returns the winner
+    probability and the number of distinct margin vectors reached. Margins are
+    tallied straight off the candidate positions of each order.
+    """
+    orders = enumerate_rank_orders(m)
+    support = [k for k, w in enumerate(weights) if w]
+    signs = {}
+    for k in support:
+        pos = {c: r for r, c in enumerate(orders[k])}
+        signs[k] = [1 if pos[a] < pos[b] else -1 for a in range(m) for b in range(m)]
+    threshold = 1 if mode is WinnerMode.STRONG else 0
+    s = len(support)
+    win = 0
+    seen = set()
+    for bars in itertools.combinations(range(n + s - 1), s - 1):
+        counts = [b - a - 1 for a, b in zip((-1, *bars), (*bars, n + s - 1))]
+        mass = math.factorial(n)
+        margins = [0] * (m * m)
+        for k, c in zip(support, counts):
+            mass = mass // math.factorial(c) * weights[k] ** c
+            if c:
+                margins = [x + c * y for x, y in zip(margins, signs[k])]
+        seen.add(tuple(margins))
+        if any(
+            all(margins[a * m + b] >= threshold for b in range(m) if b != a)
+            for a in range(m)
+        ):
+            win += mass
+    return Fraction(win, sum(weights) ** n), len(seen)
+
+
+def rational_culture(m: int, weights) -> Culture:
+    return Culture(m, np.array(weights, dtype=float) / sum(weights))
+
+
+SPARSE4_WEIGHTS = [3, 0, 0, 1, 0, 4, 0, 0, 1, 0, 0, 5, 0, 0, 9, 0, 0, 0, 0, 2, 0, 0, 0, 6]
 
 
 class TestCondorcetWinner:
@@ -152,6 +194,80 @@ class TestExactWinnerProbability:
             weak = exact_winner_probability(c, n, WinnerMode.WEAK).value
             assert strong == pytest.approx(weak, abs=1e-14)
 
+    @pytest.mark.parametrize("mode", [WinnerMode.STRONG, WinnerMode.WEAK])
+    @pytest.mark.parametrize(
+        "m,weights,n",
+        [
+            (3, [1] * 6, 4),
+            (3, [1] * 6, 5),
+            (3, [1] * 6, 6),
+            (4, [1] * 24, 3),
+            (4, [1] * 24, 4),
+            (4, SPARSE4_WEIGHTS, 5),
+            (4, SPARSE4_WEIGHTS, 6),
+        ],
+    )
+    def test_matches_fraction_oracle(self, m, weights, n, mode):
+        expected, n_margin_vectors = fraction_oracle(m, weights, n, mode)
+        r = exact_winner_probability(rational_culture(m, weights), n, mode)
+        assert abs(r.value - float(expected)) <= 1e-14
+        assert abs(r.detail["total_mass"] - 1.0) <= 1e-14
+        assert r.detail["states"] == n_margin_vectors
+
+    def test_states_merge_below_compositions_except_cyclic(self, rng):
+        for c in (impartial_culture(3), random_culture(rng), rational_culture(4, SPARSE4_WEIGHTS)):
+            d = exact_winner_probability(c, 6).detail
+            assert d["states"] < d["compositions"]
+        # The orders of a cyclic culture have affinely independent pair tallies.
+        for m in (3, 4, 5):
+            d = exact_winner_probability(cyclic_minimizer_culture(m), 6).detail
+            assert d["states"] == d["compositions"]
+
+    @pytest.mark.parametrize("mode", [WinnerMode.STRONG, WinnerMode.WEAK])
+    def test_two_reversed_orders_at_large_n(self, mode):
+        # Every margin is k - (n - k): strong needs k != n/2, weak always has a winner.
+        probs = np.zeros(6)
+        probs[[order_index((0, 1, 2)), order_index((2, 1, 0))]] = 0.5
+        n = 10_000
+        r = exact_winner_probability(Culture(3, probs), n, mode)
+        expected = 1.0 - tie_probability(n, 0.5) if mode is WinnerMode.STRONG else 1.0
+        assert r.value == pytest.approx(expected, abs=1e-11)
+        assert r.detail["states"] == n + 1
+
+    def test_single_order_at_large_n(self):
+        probs = np.zeros(24)
+        probs[5] = 1.0
+        r = exact_winner_probability(Culture(4, probs), 10**9)
+        assert r.value == 1.0
+        assert r.detail["states"] == 1
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_expansion_in_blocks_matches_one_block(self, monkeypatch, block):
+        cultures = [(impartial_culture(3), 9), (rational_culture(4, SPARSE4_WEIGHTS), 6)]
+        whole = [exact_winner_probability(c, n) for c, n in cultures]
+        monkeypatch.setattr(exact_module, "_BLOCK", block)
+        for (c, n), expected in zip(cultures, whole):
+            r = exact_winner_probability(c, n)
+            assert r.value == pytest.approx(expected.value, abs=1e-15)
+            assert r.detail == pytest.approx(expected.detail, abs=1e-15)
+
+    def test_budget_counts_compositions(self):
+        cyc, n = cyclic_minimizer_culture(3), 500
+        with pytest.raises(EnumerationBudgetError, match="125751 compositions"):
+            exact_winner_probability(cyc, n, budget=125_750)
+        r = exact_winner_probability(cyc, n, budget=125_751)
+        assert r.value == pytest.approx(minimum_winner_probability(3, n), rel=1e-9)
+        assert r.detail["states"] == r.detail["compositions"] == 125_751
+
+    def test_impartial_m4_n9_within_default_budget(self):
+        r = exact_winner_probability(impartial_culture(4), 9)
+        assert minimum_winner_probability(4, 9) < r.value < 1.0
+        assert abs(r.detail["total_mass"] - 1.0) <= 1e-12
+
+    def test_state_key_beyond_63_bits_refused(self):
+        with pytest.raises(EnumerationBudgetError, match="63 bits"):
+            exact_winner_probability(cyclic_minimizer_culture(8), 600, budget=10**30)
+
     def test_budget_error_names_budget(self):
         with pytest.raises(EnumerationBudgetError, match="50000000"):
             exact_winner_probability(impartial_culture(4), 12)
@@ -179,11 +295,18 @@ class TestMinimumBound:
 
     def test_cyclic_culture_attains_the_minimum(self):
         cyc = cyclic_minimizer_culture(3)
-        # n > 127 scales the int8 pair rows by counts beyond the int8 range.
-        for n in [*range(1, 16), 129, 200]:
+        # Margins sized from n rather than 2n overflow int8 at 64 <= n <= 127;
+        # beyond 127 they need int16.
+        for n in [*range(1, 16), 64, 100, 127, 129, 200]:
             assert exact_winner_probability(cyc, n).value == pytest.approx(
                 minimum_winner_probability(3, n), abs=1e-10
             )
+
+    @pytest.mark.parametrize("m,n", [(6, 30), (7, 21)])
+    def test_cyclic_minimum_beyond_63_bits_of_pair_tallies(self, m, n):
+        # P = m(m-1)/2 pair tallies in base n + 1 need more than 63 bits here.
+        r = exact_winner_probability(cyclic_minimizer_culture(m), n)
+        assert r.value == pytest.approx(minimum_winner_probability(m, n), rel=1e-10, abs=1e-15)
 
 
 class TestTieProbability:

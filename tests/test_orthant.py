@@ -82,6 +82,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             orthant_probability([0.5, 0.0], equi(0.0, 2))
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            orthant_probability([math.nan], np.eye(1))
+        with pytest.raises(ValueError, match="NaN"):
+            orthant_probability([math.nan, 0.0], np.eye(2))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             orthant_probability([0.0], equi(0.0, 2))
