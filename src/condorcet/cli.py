@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .asymptotic import (
@@ -75,8 +74,10 @@ def _parse_int_list(text: str) -> list[int]:
         if not item:
             continue
         if "-" in item[1:]:
-            lo, hi = item.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in item.split("-", 1))
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"reversed range {item!r} in {text!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(item))
     if not out:
@@ -86,8 +87,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_count(text: str) -> int:
     number = float(text)
-    if not (math.isfinite(number) and number >= 1):
-        raise argparse.ArgumentTypeError(f"count must be finite and >= 1, got {text!r}")
+    if not (number >= 1 and number.is_integer()):  # also rejects inf and nan
+        raise argparse.ArgumentTypeError(f"count must be a finite whole number >= 1, got {text!r}")
     return int(number)
 
 

@@ -2,18 +2,22 @@
 
 Exact enumeration, Monte Carlo and the large-electorate limit all work on the
 P = m(m-1)/2 signed margins of the pairs (i, j), i < j, in row-major order, and
-all ask whether a candidate wins every pairing.
+all ask whether a candidate wins every pairing. Both Monte Carlo estimators,
+of profiles and of normal orthants, draw through :func:`seeded_fraction`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .culture import pair_sign_matrix
+
+_CHUNK_CELLS = 1 << 20  # values drawn per chunk, so memory grows with neither trials nor width
 
 
 class WinnerMode(enum.Enum):
@@ -101,3 +105,19 @@ def split_candidate(signs) -> tuple[float | None, list[int]]:
         return 0.0, []
     kept = [k for k, s in enumerate(signs) if s == 0]
     return (None if kept else 1.0), kept
+
+
+def seeded_fraction(entropy, trials: int, width: int, hits) -> tuple[float, float]:
+    """Fraction of ``trials`` seeded draws that hit, with its binomial stderr.
+
+    ``hits(rng, k)`` draws k rows of ``width`` values from ``rng`` and returns
+    how many rows hit. The rows come from one PCG64 stream seeded by
+    ``SeedSequence(entropy)``, in chunks of about ``_CHUNK_CELLS`` values.
+    numpy's generators fill rows in sequence, so the result depends only on
+    (entropy, trials), never on the chunk size.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    chunk = max(1, _CHUNK_CELLS // width)
+    total = sum(hits(rng, min(chunk, trials - start)) for start in range(0, trials, chunk))
+    value = total / trials
+    return value, math.sqrt(value * (1.0 - value) / trials)

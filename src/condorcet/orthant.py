@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .core import split_candidate
+from .core import seeded_fraction, split_candidate
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -41,6 +41,8 @@ def validate_correlation_matrix(r: np.ndarray) -> np.ndarray:
         raise CorrelationMatrixError(f"expected a square matrix, got shape {r.shape}")
     if r.size == 0:
         return r
+    if not np.isfinite(r).all():
+        raise CorrelationMatrixError("entries must be finite")
     if not np.allclose(r, r.T, atol=1e-9, rtol=0.0):
         raise CorrelationMatrixError("matrix is not symmetric")
     if np.any(np.abs(np.diag(r) - 1.0) > 1e-12):
@@ -138,12 +140,12 @@ def orthant_mc(
     r: np.ndarray,
     samples: int = DEFAULT_MC_SAMPLES,
     seed=DEFAULT_MC_SEED,
-    chunk: int = 1_000_000,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the positive-orthant probability of N(0, R).
 
-    Returns (estimate, stderr). Deterministic for a fixed seed: samples are
-    drawn in fixed-size chunks from a single PCG64 stream.
+    Returns (estimate, stderr). The estimate depends only on (seed, samples):
+    samples come from one PCG64 stream, in chunks of about 2**20 normal
+    values whatever the sample count or dimension.
     """
     r = validate_correlation_matrix(r)
     if samples < 1:
@@ -151,18 +153,13 @@ def orthant_mc(
     d = r.shape[0]
     if d == 0:
         return 1.0, 0.0
-    chol = _cholesky_with_jitter(r)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        batch = min(chunk, remaining)
-        z = rng.standard_normal((batch, d)) @ chol.T
-        hits += int(np.count_nonzero(np.all(z >= 0.0, axis=1)))
-        remaining -= batch
-    estimate = hits / samples
-    stderr = math.sqrt(estimate * (1.0 - estimate) / samples)
-    return estimate, stderr
+    chol_t = _cholesky_with_jitter(r).T
+
+    def hits(rng: np.random.Generator, size: int) -> int:
+        z = rng.standard_normal((size, d)) @ chol_t
+        return int(np.count_nonzero(np.all(z >= 0.0, axis=1)))
+
+    return seeded_fraction(seed, samples, d, hits)
 
 
 def orthant_zero_probability(
@@ -205,10 +202,12 @@ def orthant_probability(
 
     Any +inf threshold forces the value to 0. -inf thresholds are dropped and
     the marginal correlation submatrix of the remaining coordinates is used;
-    what remains is an all-zero-threshold orthant problem.
+    what remains is an all-zero-threshold orthant problem. ``r`` must be a
+    valid correlation matrix in every dimension, else
+    :class:`CorrelationMatrixError` is raised.
     """
     deltas = np.asarray(deltas, dtype=float)
-    r = np.asarray(r, dtype=float)
+    r = validate_correlation_matrix(r)
     if deltas.shape != (r.shape[0],):
         raise ValueError(
             f"got {deltas.shape[0] if deltas.ndim else 0} thresholds "

@@ -194,14 +194,21 @@ class TestExitCodes:
             ("mc", "--culture", "ic", "--m", "3", "--n", "11", "--trials", "inf"),
             ("limit", "--culture", "ic", "--m", "3", "--samples", "inf"),
             ("exact", "--culture", "ic", "--m", "3", "--n", "3", "--budget", "inf"),
+            ("mc", "--culture", "ic", "--m", "3", "--n", "11", "--trials", "100.7"),
         ],
-        ids=["trials", "samples", "budget"],
+        ids=["trials", "samples", "budget", "trials-non-integer"],
     )
     def test_infinite_count_is_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
         assert excinfo.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_reversed_range_is_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mc", "--culture", "ic", "--m", "3", "--n", "3,10-5", "--trials", "10"])
+        assert excinfo.value.code == 2
+        assert "reversed range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

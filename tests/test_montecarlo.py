@@ -13,7 +13,9 @@ from condorcet import (
     limiting_probability,
     mc_convergence_sweep,
     mc_winner_probability,
+    orthant_mc,
 )
+from condorcet import core
 from conftest import random_culture
 
 
@@ -32,14 +34,21 @@ class TestDeterminism:
         b = mc_winner_probability(c, 7, McConfig(trials=50_000, seed=2))
         assert a.value != b.value
 
-    def test_worker_split_is_deterministic(self, monkeypatch):
+    def test_thread_variable_changes_nothing(self, monkeypatch):
         c = impartial_culture(3)
         cfg = McConfig(trials=40_000, seed=5)
+        monkeypatch.delenv("CONDORCET_THREADS", raising=False)
+        unset = mc_winner_probability(c, 5, cfg)
         monkeypatch.setenv("CONDORCET_THREADS", "3")
-        a = mc_winner_probability(c, 5, cfg)
-        b = mc_winner_probability(c, 5, cfg)
-        assert a.value == b.value
-        assert a.detail["workers"] == 3
+        assert mc_winner_probability(c, 5, cfg) == unset
+
+    @pytest.mark.parametrize("cells", [1, 7, 100])
+    def test_chunk_size_changes_nothing(self, monkeypatch, cells):
+        c, cfg = impartial_culture(3), McConfig(trials=2_001, seed=11, mode=WinnerMode.WEAK)
+        r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
+        whole = mc_winner_probability(c, 6, cfg), orthant_mc(r, 3_001, seed=(5, 2))
+        monkeypatch.setattr(core, "_CHUNK_CELLS", cells)
+        assert (mc_winner_probability(c, 6, cfg), orthant_mc(r, 3_001, seed=(5, 2))) == whole
 
 
 class TestEstimates:

@@ -92,6 +92,19 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             orthant_probability([0.0], equi(0.0, 2))
 
+    @pytest.mark.parametrize(
+        "r, reason",
+        [
+            (equi(-1.0, 3), "semidefinite"),
+            ([[1.0, math.nan], [math.nan, 1.0]], "finite"),
+            ([[1.0, 0.5], [-0.9, 1.0]], "symmetric"),
+        ],
+        ids=["non-psd-d3", "nan-d2", "asymmetric-d2"],
+    )
+    def test_bad_matrix_rejected_below_d4(self, r, reason):
+        with pytest.raises(CorrelationMatrixError, match=reason):
+            orthant_probability([0.0] * len(r), r)
+
 
 class TestEquicorrelatedIntegral:
     @pytest.mark.parametrize("rho", [0.0, 0.1, 1 / 3, 0.6, 0.9])
