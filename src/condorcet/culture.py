@@ -259,14 +259,17 @@ def culture_from_csv(text: str) -> Culture:
             ) from None
         if m is None:
             m = len(order)
+            index = _order_index_map(m) if MIN_CANDIDATES <= m <= MAX_CANDIDATES else {}
         elif len(order) != m:
             raise CultureFormatError(
                 f"line {lineno}, field 'order': expected {m} candidates, got {len(order)}"
             )
-        try:
-            idx = order_index(order)
-        except ValueError as exc:
-            raise CultureFormatError(f"line {lineno}, field 'order': {exc}") from None
+        idx = index.get(order)
+        if idx is None:  # not an order of m candidates: order_index says why
+            try:
+                idx = order_index(order)
+            except ValueError as exc:
+                raise CultureFormatError(f"line {lineno}, field 'order': {exc}") from None
         if idx in seen:
             raise CultureFormatError(f"line {lineno}: duplicate order key {key!r}")
         try:
@@ -277,6 +280,9 @@ def culture_from_csv(text: str) -> Culture:
             ) from None
         if prob < 0.0:
             raise CultureFormatError(f"line {lineno}, field 'prob': negative value {value}")
+        if not math.isfinite(prob):
+            kind = "NaN" if math.isnan(prob) else "infinite"
+            raise CultureFormatError(f"line {lineno}, field 'prob': {kind} probability {prob!r}")
         seen[idx] = prob
     if m is None:
         raise CultureFormatError("no culture rows found")

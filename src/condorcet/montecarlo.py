@@ -2,10 +2,12 @@
 
 Covers electorate sizes where exact enumeration is infeasible and serves as
 the cross-check tying the exact and limiting computations together. Profiles
-are drawn from the multinomial distribution by one PCG64 stream seeded from
+are drawn over the culture's support only, by one PCG64 stream seeded from
 ``[seed, 0]``, so an estimate depends only on (seed, trials) and is bit-exact
-across runs. They are drawn in chunks of about 2**20 vote counts, so memory
-stays bounded at any trial count or m.
+across runs. With at least as many voters as supported orders, a profile is
+one multinomial vector of vote counts; with fewer, each voter's order is drawn
+on its own. Either way a chunk holds about 2**20 vote counts or voter choices,
+so memory stays bounded at any trial count or m.
 """
 
 from __future__ import annotations
@@ -36,21 +38,32 @@ class McConfig:
 def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerProbability:
     """Estimate the probability that a winner exists among n voters.
 
-    Draws ``config.trials`` independent profiles and reports the winning
-    fraction with its binomial standard error. The result depends only on
-    (seed, trials), and each chunk of profiles holds about 2**20 vote counts
-    whatever the trial count or the number of orders.
+    Draws ``config.trials`` independent profiles over the s orders of the
+    culture's support and reports the winning fraction with its binomial
+    standard error. When n >= s a profile is a multinomial vector of s vote
+    counts; when n < s it is n voter choices, whose pair rows are summed one
+    voter at a time. The result depends only on (seed, trials), and each
+    chunk holds about 2**20 vote counts or voter choices whatever the trial
+    count or the number of orders.
     """
     if n < 1:
         raise ValueError(f"voter count must be >= 1, got {n}")
-    rows = pair_rows(culture.m).T.astype(np.int64)  # (K, P)
+    support = culture.support()
+    s = len(support)
+    probs = culture.probs[support]
+    rows = pair_rows(culture.m).T[support].astype(np.int64)  # (s, P)
     threshold = config.mode.margin_threshold
 
     def hits(rng: np.random.Generator, size: int) -> int:
-        margins = rng.multinomial(n, culture.probs, size=size) @ rows
+        if n < s:
+            margins = np.zeros((size, rows.shape[1]), dtype=np.int64)
+            for column in rng.choice(s, size=(size, n), p=probs).T:
+                margins += rows[column]
+        else:
+            margins = rng.multinomial(n, probs, size=size) @ rows
         return int(np.count_nonzero(winners_mask(margins, culture.m, threshold).any(axis=0)))
 
-    value, stderr = seeded_fraction([config.seed, 0], config.trials, culture.n_orders, hits)
+    value, stderr = seeded_fraction([config.seed, 0], config.trials, min(n, s), hits)
     detail = {"trials": config.trials, "seed": config.seed}
     return WinnerProbability(value, Method.MONTE_CARLO, stderr=stderr, detail=detail)
 

@@ -250,6 +250,14 @@ class TestSerialization:
         with pytest.raises(CultureFormatError, match="NaN probability .*nan"):
             culture_from_csv("order,prob\n0-1,nan\n1-0,1.0\n")
 
+    def test_csv_nan_named_line(self):
+        with pytest.raises(CultureFormatError, match=r"line 3, field 'prob': NaN probability nan"):
+            culture_from_csv("order,prob\n0-1,1.0\n1-0,nan\n")
+
+    def test_csv_inf_named_line(self):
+        with pytest.raises(CultureFormatError, match=r"line 2, field 'prob': infinite probability inf"):
+            culture_from_csv("order,prob\n0-1,inf\n1-0,0.0\n")
+
     def test_json_nan_rejected(self):
         with pytest.raises(CultureFormatError, match="NaN probability .*nan"):
             culture_from_json('{"m": 2, "probs": [NaN, 1.0]}')

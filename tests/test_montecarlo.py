@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,22 @@ from condorcet import (
     exact_winner_probability,
     impartial_culture,
     limiting_probability,
+    load_culture_file,
     mc_convergence_sweep,
     mc_winner_probability,
     orthant_mc,
+    save_culture,
 )
 from condorcet import core
 from conftest import random_culture
+
+
+def sparse_culture(m: int, size: int, seed: int) -> Culture:
+    """A culture on ``size`` random orders of m candidates."""
+    rng = np.random.default_rng(seed)
+    probs = np.zeros(math.factorial(m))
+    probs[rng.choice(probs.size, size, replace=False)] = rng.dirichlet(np.ones(size))
+    return Culture(m, probs)
 
 
 class TestDeterminism:
@@ -47,8 +59,19 @@ class TestDeterminism:
         c, cfg = impartial_culture(3), McConfig(trials=2_001, seed=11, mode=WinnerMode.WEAK)
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
         whole = mc_winner_probability(c, 6, cfg), orthant_mc(r, 3_001, seed=(5, 2))
+        by_voter = mc_winner_probability(impartial_culture(4), 5, cfg)  # 5 voters, 24 orders
         monkeypatch.setattr(core, "_CHUNK_CELLS", cells)
         assert (mc_winner_probability(c, 6, cfg), orthant_mc(r, 3_001, seed=(5, 2))) == whole
+        assert mc_winner_probability(impartial_culture(4), 5, cfg) == by_voter
+
+    def test_full_support_stream_is_pinned(self):
+        # With full support and n >= m! the draw is the multinomial over all
+        # orders; these values pin its stream, which the mc-deep workload uses.
+        r = mc_winner_probability(impartial_culture(3), 7, McConfig(50_000, seed=42))
+        assert r.value == 0.92566
+        weights = np.arange(1, 25) % 3 + 1
+        dense = Culture(4, weights / weights.sum())
+        assert mc_winner_probability(dense, 101, McConfig(20_000, seed=3)).value == 0.82915
 
 
 class TestEstimates:
@@ -71,6 +94,29 @@ class TestEstimates:
         exact = exact_winner_probability(c, 5).value
         r = mc_winner_probability(c, 5, McConfig(trials=1_000_000, seed=8))
         assert abs(r.value - exact) <= 4 * r.stderr
+
+    @pytest.mark.parametrize(
+        "culture, n",
+        [
+            (impartial_culture(4), 5),
+            (impartial_culture(4), 7),
+            (cyclic_minimizer_culture(3), 2),
+            (sparse_culture(5, 8, seed=4), 5),  # fewer voters than orders: drawn by voter
+            (sparse_culture(5, 8, seed=4), 11),  # more voters than orders: drawn by count
+        ],
+        ids=["ic4-n5", "ic4-n7", "cyclic3-n2", "sparse5-n5", "sparse5-n11"],
+    )
+    def test_pruned_draws_match_exact(self, culture, n):
+        exact = exact_winner_probability(culture, n).value
+        r = mc_winner_probability(culture, n, McConfig(trials=200_000, seed=n))
+        assert abs(r.value - exact) <= 5 * r.stderr
+
+    def test_m8_csv_roundtrip(self, tmp_path):
+        c = sparse_culture(8, 60, seed=8)
+        save_culture(c, tmp_path / "sparse8.csv")
+        back = load_culture_file(tmp_path / "sparse8.csv")
+        assert back.m == 8
+        assert np.array_equal(back.probs, c.probs)
 
     def test_weak_mode_at_even_n_exceeds_strong(self):
         c = impartial_culture(3)
