@@ -216,30 +216,13 @@ class Table1Row:
     (0,1), (0,2), (1,2). ``kind`` selects the formula: the full three-term sum
     ("sum3"), 3/4 plus an arcsine of one correlation entry ("arcsin", with
     ``arcsin_candidate`` naming whose correlation matrix feeds it), or a
-    constant ("half", "one", "zero"). ``note`` records how the value arises
-    from the per-candidate orthant terms.
+    constant ("half", "one", "zero").
     """
 
     number: int
     signs: tuple[int, int, int]
     kind: str
     arcsin_candidate: int | None = None
-    note: str = ""
-
-
-def _term_structure_note(signs: tuple[int, int, int]) -> str:
-    """Describe the three orthant terms produced by a sign pattern."""
-    upper = np.zeros((3, 3))
-    upper[np.triu_indices(3, 1)] = signs
-    matrix = _margin_signs(upper - upper.T, 0.0)
-    pieces = []
-    for i in range(3):
-        forced, kept = split_candidate([matrix[i][j] for j in _rivals(3, i)])
-        if forced is not None:
-            pieces.append(f"{forced:g}")
-        else:
-            pieces.append("1/2" if len(kept) == 1 else f"L2(R{i})")
-    return "terms " + " + ".join(pieces)
 
 
 def _build_table1() -> tuple[Table1Row, ...]:
@@ -273,10 +256,7 @@ def _build_table1() -> tuple[Table1Row, ...]:
         (26, (n, n, p), "one", None),
         (27, (n, n, n), "one", None),
     ]
-    return tuple(
-        Table1Row(number, signs, kind, cand, _term_structure_note(signs))
-        for number, signs, kind, cand in entries
-    )
+    return tuple(Table1Row(*entry) for entry in entries)
 
 
 TABLE1: tuple[Table1Row, ...] = _build_table1()

@@ -2,14 +2,17 @@
 
 Subcommands: exact, mc, limit, classify, min-table, ic-curve, audit, culture.
 Results go to stdout (or ``--out``) as a human-readable table on a terminal
-and CSV when piped; ``--format {table,csv,json}`` overrides. Exit codes:
+and CSV when piped; ``--format {table,csv,json}`` overrides. The
+``min-table`` table pivots the distinct n over the distinct m. Exit codes:
 0 success, 1 computation error (enumeration budget, degenerate input,
-failed audit), 2 usage error.
+failed audit), 2 usage error (including an ``--out`` that cannot be
+written).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -92,26 +95,28 @@ def _parse_count(text: str) -> int:
     return int(number)
 
 
-def _emit(args, table: str, csv_text: str, json_obj) -> None:
+def _emit(args, rows: list[dict], lines: list[str], obj=None) -> None:
+    """Write ``lines`` as the table, ``rows`` as CSV, or ``obj`` (else ``rows``) as JSON.
+
+    The CSV header is the first row's keys, and each cell is ``str`` of its
+    value, which is the shortest round-trip form for a float.
+    """
     fmt = args.format
     if fmt is None:
         interactive = args.out is None and sys.stdout.isatty()
         fmt = "table" if interactive else "csv"
     if fmt == "table":
-        payload = table if table.endswith("\n") else table + "\n"
+        payload = "".join(line + "\n" for line in lines)
     elif fmt == "csv":
-        payload = csv_text
+        records = [rows[0].keys(), *(row.values() for row in rows)]
+        payload = "".join(",".join(map(str, record)) + "\n" for record in records)
     else:
-        payload = json.dumps(json_obj, indent=2) + "\n"
+        payload = json.dumps(rows if obj is None else obj, indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(payload)
     else:
         with open(args.out, "w") as handle:
             handle.write(payload)
-
-
-def _scalar_outputs(value: float) -> tuple[str, str]:
-    return f"{value:.5f}", f"value\n{value!r}\n"
 
 
 def _cmd_exact(args) -> int:
@@ -127,25 +132,19 @@ def _cmd_exact(args) -> int:
         "mode": args.mode,
         "detail": result.detail,
     }
-    table, csv_text = _scalar_outputs(result.value)
-    _emit(args, table, csv_text, obj)
+    _emit(args, [{"value": result.value}], [f"{result.value:.5f}"], obj)
     return 0
 
 
 def _cmd_mc(args) -> int:
     culture = load_culture(args.culture, args.m)
     config = McConfig(trials=args.trials, seed=args.seed, mode=WinnerMode(args.mode))
-    rows = mc_convergence_sweep(culture, sorted(args.n), config)
-    csv_lines = ["n,estimate,stderr,trials,seed"]
-    table_lines = []
-    for n, result in rows:
-        csv_lines.append(f"{n},{result.value!r},{result.stderr!r},{config.trials},{config.seed}")
-        table_lines.append(f"n={n}  {result.value:.5f} (stderr {result.stderr:.5f})")
-    obj = [
+    rows = [
         {"n": n, "estimate": r.value, "stderr": r.stderr, "trials": config.trials, "seed": config.seed}
-        for n, r in rows
+        for n, r in mc_convergence_sweep(culture, sorted(args.n), config)
     ]
-    _emit(args, "\n".join(table_lines), "\n".join(csv_lines) + "\n", obj)
+    lines = [f"n={r['n']}  {r['estimate']:.5f} (stderr {r['stderr']:.5f})" for r in rows]
+    _emit(args, rows, lines)
     return 0
 
 
@@ -157,57 +156,59 @@ def _cmd_limit(args) -> int:
         "terms": result.detail["terms"],
         "case": result.detail.get("case"),
     }
-    table, csv_text = _scalar_outputs(result.value)
-    _emit(args, table, csv_text, obj)
+    _emit(args, [{"value": result.value}], [f"{result.value:.5f}"], obj)
     return 0
 
 
 def _cmd_classify(args) -> int:
     culture = load_culture(args.culture, args.m)
     case, value = classify_m3(culture, tol=args.tol)
-    obj = {"case": case, "value": value}
-    _emit(args, f"case {case}: {value:.5f}", f"case,probability\n{case},{value!r}\n", obj)
+    rows = [{"case": case, "probability": value}]
+    _emit(args, rows, [f"case {case}: {value:.5f}"], {"case": case, "value": value})
     return 0
 
 
 def _cmd_min_table(args) -> int:
     rows = minimum_table(args.m, args.n)
-    csv_lines = ["n,m,probability,probability_full"]
-    for n, m, p in rows:
-        csv_lines.append(f"{n},{m},{p:.4f},{p!r}")
+    cell = {(n, m): p for n, m, p in rows}
     ms = list(dict.fromkeys(args.m))
-    table_lines = ["n    " + "".join(f"m={m:<8}" for m in ms)]
-    for n in args.n:
-        cells = "".join(f"{p:<10.4f}" for (rn, rm, p) in rows if rn == n)
-        table_lines.append(f"{n:<5}{cells}")
+    lines = ["n    " + "".join(f"m={m:<8}" for m in ms)]
+    for n in dict.fromkeys(args.n):
+        lines.append(f"{n:<5}" + "".join(f"{cell[n, m]:<10.4f}" for m in ms))
+    csv_rows = [
+        {"n": n, "m": m, "probability": f"{p:.4f}", "probability_full": p} for n, m, p in rows
+    ]
     obj = [{"n": n, "m": m, "probability": p} for n, m, p in rows]
-    _emit(args, "\n".join(table_lines), "\n".join(csv_lines) + "\n", obj)
+    _emit(args, csv_rows, lines, obj)
     return 0
 
 
 def _cmd_ic_curve(args) -> int:
-    rows = ic_curve(args.m)
-    csv_lines = ["m,probability"] + [f"{m},{p!r}" for m, p in rows]
-    table_lines = [f"m={m:<4} {p:.5f}" for m, p in rows]
-    obj = [{"m": m, "probability": p} for m, p in rows]
-    _emit(args, "\n".join(table_lines), "\n".join(csv_lines) + "\n", obj)
+    rows = [{"m": m, "probability": p} for m, p in ic_curve(args.m)]
+    _emit(args, rows, [f"m={r['m']:<4} {r['probability']:.5f}" for r in rows])
     return 0
 
 
 def _cmd_audit(args) -> int:
-    rows = audit_table1(samples=args.samples, seed=args.seed)
-    csv_lines = ["case,sign_01,sign_02,sign_12,formula,estimate,stderr,pass"]
-    table_lines = []
-    for r in rows:
-        csv_lines.append(
-            f"{r.number},{r.signs[0]},{r.signs[1]},{r.signs[2]},"
-            f"{r.formula_value!r},{r.mc_value!r},{r.mc_stderr!r},{int(r.passed)}"
-        )
-        status = "ok" if r.passed else "MISMATCH"
-        table_lines.append(
-            f"case {r.number:>2}  formula {r.formula_value:.5f}  "
-            f"mc {r.mc_value:.5f}  stderr {r.mc_stderr:.5f}  {status}"
-        )
+    results = audit_table1(samples=args.samples, seed=args.seed)
+    rows = [
+        {
+            "case": r.number,
+            "sign_01": r.signs[0],
+            "sign_02": r.signs[1],
+            "sign_12": r.signs[2],
+            "formula": r.formula_value,
+            "estimate": r.mc_value,
+            "stderr": r.mc_stderr,
+            "pass": int(r.passed),
+        }
+        for r in results
+    ]
+    lines = [
+        f"case {r.number:>2}  formula {r.formula_value:.5f}  "
+        f"mc {r.mc_value:.5f}  stderr {r.mc_stderr:.5f}  {'ok' if r.passed else 'MISMATCH'}"
+        for r in results
+    ]
     obj = [
         {
             "case": r.number,
@@ -217,34 +218,31 @@ def _cmd_audit(args) -> int:
             "stderr": r.mc_stderr,
             "pass": r.passed,
         }
-        for r in rows
+        for r in results
     ]
-    _emit(args, "\n".join(table_lines), "\n".join(csv_lines) + "\n", obj)
-    return 0 if all(r.passed for r in rows) else 1
+    _emit(args, rows, lines, obj)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_culture(args) -> int:
-    culture = load_culture(args.culture, args.m)
-    if args.out is None:
-        raise CultureFormatError("culture requires --out PATH")
-    save_culture(culture, args.out, fmt=args.format)
+    save_culture(load_culture(args.culture, args.m), args.out, fmt=args.format)
     return 0
 
 
-def _add_common(parser, *, culture=False, needs_m=False, out=True) -> None:
+def _add_common(parser, *, culture=False, out=True) -> None:
     if culture:
         parser.add_argument(
             "--culture",
             required=True,
             help="named culture (ic, cyclic, dc:<path>) or path to a JSON/CSV file",
         )
-    if needs_m:
         parser.add_argument("--m", type=int, default=None, help="candidate count")
     if out:
         parser.add_argument("--out", default=None, help="write output to a file")
         parser.add_argument("--format", choices=("table", "csv", "json"), default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="condorcet",
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="exact probability by multinomial enumeration")
-    _add_common(p, culture=True, needs_m=True)
+    _add_common(p, culture=True)
     p.add_argument("--n", type=int, required=True, help="number of voters")
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
     p.add_argument(
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate (one or more voter counts)")
-    _add_common(p, culture=True, needs_m=True)
+    _add_common(p, culture=True)
     p.add_argument("--n", type=_parse_int_list, required=True, help="voter counts, e.g. 11,101,1001")
     p.add_argument("--trials", type=_parse_count, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("limit", help="limiting probability as voters grow without bound")
-    _add_common(p, culture=True, needs_m=True)
+    _add_common(p, culture=True)
     p.add_argument("--tol", type=float, default=1e-12, help="margin sign tolerance")
     p.add_argument("--samples", type=_parse_count, default=10_000_000,
                    help="Monte Carlo samples for orthant terms without closed form")
@@ -281,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("classify", help="three-candidate table row and value")
-    _add_common(p, culture=True, needs_m=True)
+    _add_common(p, culture=True)
     p.add_argument("--tol", type=float, default=1e-12, help="margin sign tolerance")
     p.set_defaults(func=_cmd_classify)
 
@@ -304,12 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("culture", help="write a named or loaded culture to a file")
-    p.add_argument(
-        "--culture",
-        required=True,
-        help="named culture (ic, cyclic, dc:<path>) or path to a JSON/CSV file",
-    )
-    p.add_argument("--m", type=int, default=None, help="candidate count")
+    _add_common(p, culture=True, out=False)
     p.add_argument("--out", required=True, help="destination file")
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.set_defaults(func=_cmd_culture)
@@ -325,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationBudgetError, DegenerateVarianceError, CorrelationMatrixError) as exc:
         print(f"condorcet: {exc}", file=sys.stderr)
         return 1
-    except (CultureFormatError, ValueError) as exc:
+    except (CultureFormatError, ValueError, OSError) as exc:
         print(f"condorcet: {exc}", file=sys.stderr)
         return 2
 

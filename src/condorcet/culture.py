@@ -66,6 +66,12 @@ def _order_index_map(m: int) -> dict[tuple[int, ...], int]:
     return {o: i for i, o in enumerate(enumerate_rank_orders(m))}
 
 
+@lru_cache(maxsize=None)
+def _order_key_map(m: int) -> dict[str, int]:
+    """Index of each order by its CSV key, the candidates joined by hyphens."""
+    return {"-".join(map(str, o)): i for i, o in enumerate(enumerate_rank_orders(m))}
+
+
 def order_index(order) -> int:
     """Canonical index of a rank order within ``enumerate_rank_orders``."""
     o = _validate_order(order)
@@ -244,6 +250,7 @@ def culture_from_csv(text: str) -> Culture:
     if not rows or [f.strip() for f in rows[0]] != ["order", "prob"]:
         raise CultureFormatError('expected CSV header "order,prob"')
     m = None
+    keys: dict[str, int] = {}  # the writer's key of every order, once m is known
     seen: dict[int, float] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -251,21 +258,22 @@ def culture_from_csv(text: str) -> Culture:
         if len(row) != 2:
             raise CultureFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
         key, value = row[0].strip(), row[1].strip()
-        try:
-            order = tuple(int(part) for part in key.split("-"))
-        except ValueError:
-            raise CultureFormatError(
-                f"line {lineno}, field 'order': cannot parse {key!r}"
-            ) from None
-        if m is None:
-            m = len(order)
-            index = _order_index_map(m) if MIN_CANDIDATES <= m <= MAX_CANDIDATES else {}
-        elif len(order) != m:
-            raise CultureFormatError(
-                f"line {lineno}, field 'order': expected {m} candidates, got {len(order)}"
-            )
-        idx = index.get(order)
-        if idx is None:  # not an order of m candidates: order_index says why
+        idx = keys.get(key)
+        if idx is None:  # the first row, or a key the writer would not emit
+            try:
+                order = tuple(int(part) for part in key.split("-"))
+            except ValueError:
+                raise CultureFormatError(
+                    f"line {lineno}, field 'order': cannot parse {key!r}"
+                ) from None
+            if m is None:
+                m = len(order)
+                if MIN_CANDIDATES <= m <= MAX_CANDIDATES:
+                    keys = _order_key_map(m)
+            elif len(order) != m:
+                raise CultureFormatError(
+                    f"line {lineno}, field 'order': expected {m} candidates, got {len(order)}"
+                )
             try:
                 idx = order_index(order)
             except ValueError as exc:
@@ -307,19 +315,15 @@ def save_culture(culture: Culture, path, fmt: str | None = None) -> None:
         raise ValueError(f"unknown culture format {fmt!r}")
 
 
-def load_culture_file(path, fmt: str | None = None) -> Culture:
-    """Read a culture from a JSON or CSV file written by :func:`save_culture`."""
+def load_culture_file(path) -> Culture:
+    """Read a culture from a JSON or CSV file (by suffix) written by :func:`save_culture`."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise CultureFormatError(f"cannot read {path}: {exc}") from None
-    fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
+    parse = culture_from_csv if path.suffix.lower() == ".csv" else culture_from_json
     try:
-        if fmt == "csv":
-            return culture_from_csv(text)
-        if fmt == "json":
-            return culture_from_json(text)
+        return parse(text)
     except CultureFormatError as exc:
         raise CultureFormatError(f"{path}: {exc}") from None
-    raise ValueError(f"unknown culture format {fmt!r}")

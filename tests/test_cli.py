@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -77,6 +78,13 @@ class TestTables:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    def test_min_table_pivots_distinct_values(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "min-table", "--m", "3,3,4", "--n", "5,5", "--format", "table"
+        )
+        assert code == 0
+        assert out == "n    m=3       m=4       \n5    0.6296    0.4141    \n"
+
     def test_ic_curve(self, capsys):
         code, out, _ = run_cli(capsys, "ic-curve", "--m", "3-5", "--format", "csv")
         assert code == 0
@@ -98,6 +106,62 @@ class TestTables:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "3"
         assert lines[1].endswith(",20000,11")
+
+
+IC3 = ("--culture", "ic", "--m", "3")
+CYCLIC3 = ("--culture", "cyclic", "--m", "3")
+
+
+class TestOutputShapes:
+    """What each output command prints, short of full-precision bytes.
+
+    Full-precision values are not pinned: numpy and scipy builds may differ
+    in the last ulp. ``text`` pins the whole output, ``first_line`` matches
+    the first line against a regular expression, and ``json_keys`` is the key
+    set of the JSON object, or of every row of a JSON list.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, fmt, part, expected",
+        [
+            (("exact", *CYCLIC3, "--n", "3"), "json", "json_keys",
+             {"value", "method", "m", "n", "mode", "detail"}),
+            (("mc", *IC3, "--n", "3,5", "--trials", "2000", "--seed", "11"), "table", "first_line",
+             r"n=3  0\.\d{5} \(stderr 0\.\d{5}\)"),
+            (("mc", *IC3, "--n", "3,5", "--trials", "2000", "--seed", "11"), "json", "json_keys",
+             {"n", "estimate", "stderr", "trials", "seed"}),
+            (("limit", *IC3), "json", "json_keys", {"value", "terms", "case"}),
+            (("classify", *CYCLIC3), "table", "text", "case 17: 0.00000\n"),
+            (("classify", *CYCLIC3), "json", "json_keys", {"case", "value"}),
+            (("min-table", "--m", "3,4", "--n", "3-4"), "table", "text",
+             "n    m=3       m=4       \n"
+             "3    0.7778    0.6250    \n"
+             "4    0.3333    0.2031    \n"),
+            (("ic-curve", "--m", "3-4"), "table", "text", "m=3    0.91226\nm=4    0.82452\n"),
+            (("audit", "--samples", "2000", "--seed", "3"), "table", "first_line",
+             r"case  1  formula 0\.91226  mc [01]\.\d{5}  stderr 0\.\d{5}  ok"),
+            (("audit", "--samples", "2000", "--seed", "3"), "csv", "first_line",
+             r"case,sign_01,sign_02,sign_12,formula,estimate,stderr,pass"),
+            (("audit", "--samples", "2000", "--seed", "3"), "json", "json_keys",
+             {"case", "signs", "formula", "estimate", "stderr", "pass"}),
+        ],
+        ids=[
+            "exact-json", "mc-table", "mc-json", "limit-json", "classify-table",
+            "classify-json", "min-table-table", "ic-curve-table", "audit-table",
+            "audit-csv", "audit-json",
+        ],
+    )
+    def test_output(self, capsys, argv, fmt, part, expected):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if part == "text":
+            assert out == expected
+        elif part == "first_line":
+            assert re.fullmatch(expected, out.splitlines()[0])
+        else:
+            obj = json.loads(out)
+            for row in obj if isinstance(obj, list) else [obj]:
+                assert set(row) == expected
 
 
 class TestDeterminism:
@@ -224,6 +288,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "tolerance" in err
+
+    def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "ic-curve", "--m", "3", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("condorcet: ") and str(path) in err
+        assert err.count("\n") == 1
+
+    def test_unwritable_culture_out_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "culture", "--culture", "ic", "--m", "3", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("condorcet: ") and str(path) in err
+        assert err.count("\n") == 1
 
     def test_classify_wrong_m_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--culture", "ic", "--m", "4")

@@ -221,6 +221,13 @@ class TestSerialization:
         assert text.splitlines()[0] == "order,prob"
         assert text.splitlines()[1].startswith("0-1,")
 
+    def test_csv_non_canonical_key(self):
+        # Keys the writer would not emit are parsed as integers.
+        back = culture_from_csv("order,prob\n0-1,0.25\n1-00,0.75\n")
+        assert back.probs.tolist() == [0.25, 0.75]
+        with pytest.raises(CultureFormatError, match="line 3: duplicate order key '00-1'"):
+            culture_from_csv("order,prob\n0-1,0.25\n00-1,0.75\n")
+
     def test_csv_duplicate_order(self):
         text = "order,prob\n0-1,0.5\n0-1,0.5\n"
         with pytest.raises(CultureFormatError, match="duplicate"):
