@@ -14,15 +14,20 @@ Three per-voter quantities drive the computation:
 * the correlation matrix of candidate i's margins against the other m - 1
   candidates.
 
-The limit is the sum over candidates of the resulting orthant probabilities.
-For three candidates the 27 sign patterns of the margins reduce to a fixed
-table of closed forms (``TABLE1``), each row of which can be audited against
-an independent Monte Carlo evaluation of the orthant decomposition.
+One pass per culture turns these into the per-candidate decomposition: each
+candidate's term is either forced to 0 or 1 by its infinite thresholds, or is
+the orthant probability of the correlation matrix of its balanced rivals. The
+limit is the sum of the terms, each evaluated by
+:func:`~condorcet.orthant.orthant_zero_probability`. For three candidates the
+27 sign patterns of the margins reduce to a fixed table of closed forms
+(``TABLE1``); ``classify_m3`` evaluates a row's stored formula from the same
+pass, and ``audit_table1`` checks every row against an independent Monte Carlo
+evaluation of the decomposition.
 
-The module also provides the impartial-culture (uniform) limit: closed forms
-for 3..7 candidates, the equicorrelated single-integral form for any count,
-the recursion check, a decreasing upper bound, and the curve of the limit
-against the number of candidates.
+The module also provides the impartial-culture (uniform) limit: the printed
+closed forms for 3..7 candidates, the limit for any count through the same
+orthant dispatcher as ``limiting_probability``, a decreasing upper bound, and
+the curve of the limit against the number of candidates.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .culture import Culture, pair_sign_matrix
 from .orthant import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_MC_SEED,
-    equicorrelated_orthant,
     orthant_mc,
     orthant_zero_probability,
 )
@@ -98,9 +102,16 @@ def _correlation_submatrix(culture: Culture, i: int, rivals: list[int], lam: np.
     """Correlation matrix of candidate i's margins against ``rivals``.
 
     Entry (j, l) is (E[s_ij s_il] - lam_ij lam_il) / sqrt((1 - lam_ij^2)(1 - lam_il^2))
-    where s_ij is the voter's +/-1 preference between i and j. All listed
-    rivals must have |lam_ij| < 1.
+    where s_ij is the voter's +/-1 preference between i and j. Raises
+    :class:`DegenerateVarianceError` when a listed rival's margin is +/-1
+    within 1e-12.
     """
+    degenerate = [j for j in rivals if abs(lam[i, j]) >= 1.0 - DEGENERATE_MARGIN_TOL]
+    if degenerate:
+        raise DegenerateVarianceError(
+            f"margin of candidate {i} against {degenerate} is +/-1; "
+            "the correlation entry is undefined"
+        )
     signs = pair_sign_matrix(culture.m)
     rows = signs[i, rivals, :].astype(float)  # (len(rivals), K)
     lam_row = lam[i, rivals]
@@ -122,55 +133,25 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     """
     if not 0 <= i < culture.m:
         raise ValueError(f"candidate out of range for m={culture.m}: {i}")
+    return _correlation_submatrix(culture, i, _rivals(culture.m, i), lambda_matrix(culture))
+
+
+def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[tuple]]:
+    """The margin signs and, per candidate, (forced term, None) or (None, R).
+
+    The forced term is 0 or 1; R is the correlation matrix of the balanced rivals.
+    """
     lam = lambda_matrix(culture)
-    rivals = _rivals(culture.m, i)
-    degenerate = [j for j in rivals if abs(lam[i, j]) >= 1.0 - DEGENERATE_MARGIN_TOL]
-    if degenerate:
-        raise DegenerateVarianceError(
-            f"margin of candidate {i} against {degenerate} is +/-1; "
-            "the correlation entry is undefined"
-        )
-    return _correlation_submatrix(culture, i, rivals, lam)
-
-
-def _split_term(
-    culture: Culture, i: int, lam: np.ndarray, signs: list[list[int]]
-) -> tuple[float | None, np.ndarray | None]:
-    """Candidate i's forced limit term, or None and its balanced rivals' correlations."""
-    rivals = _rivals(culture.m, i)
-    forced, kept = split_candidate([signs[i][j] for j in rivals])
-    if forced is not None:
-        return forced, None
-    return None, _correlation_submatrix(culture, i, [rivals[k] for k in kept], lam)
-
-
-def _candidate_term(
-    culture: Culture,
-    i: int,
-    lam: np.ndarray,
-    signs: list[list[int]],
-    mc_samples: int,
-    mc_seed,
-) -> dict:
-    """One candidate's contribution to the limit, with its diagnostics."""
-    forced, sub = _split_term(culture, i, lam, signs)
-    term = {
-        "candidate": i,
-        "deltas": [_THRESHOLD_LABELS[signs[i][j]] for j in _rivals(culture.m, i)],
-        "correlation": None,
-        "L": forced,
-        "method": "exact",
-        "stderr": None,
-    }
-    if sub is not None:
-        value, stderr, method = orthant_zero_probability(sub, mc_samples, mc_seed)
-        term.update(
-            correlation=[[float(x) for x in row] for row in sub],
-            L=float(value),
-            method=method,
-            stderr=stderr,
-        )
-    return term
+    signs = _margin_signs(lam, tol)
+    parts = []
+    for i in range(culture.m):
+        rivals = _rivals(culture.m, i)
+        forced, kept = split_candidate([signs[i][j] for j in rivals])
+        sub = None
+        if forced is None:
+            sub = _correlation_submatrix(culture, i, [rivals[k] for k in kept], lam)
+        parts.append((forced, sub))
+    return signs, parts
 
 
 def limiting_probability(
@@ -185,17 +166,27 @@ def limiting_probability(
     standardized margin vector with thresholds from the margin signs. Pairs
     with margin +/-1 never touch a correlation entry: their thresholds are
     +/-inf, so the coordinate is dropped (or the whole term is zero) before
-    any submatrix is built.
+    any submatrix is built. A Monte Carlo term of candidate i draws from the
+    stream ``(mc_seed, i)``, so the terms' errors are independent.
 
     The returned detail carries the per-candidate terms; ``detail["case"]``
     holds the three-candidate table row when m = 3.
     """
-    lam = lambda_matrix(culture)
-    signs = _margin_signs(lam, tol)
-    terms = [
-        _candidate_term(culture, i, lam, signs, mc_samples, mc_seed)
-        for i in range(culture.m)
-    ]
+    signs, parts = _decomposition(culture, tol)
+    terms = []
+    for i, (forced, sub) in enumerate(parts):
+        if sub is None:
+            value, stderr, method = forced, None, "exact"
+        else:
+            value, stderr, method = orthant_zero_probability(sub, mc_samples, np.append(mc_seed, i))
+        terms.append({
+            "candidate": i,
+            "deltas": [_THRESHOLD_LABELS[signs[i][j]] for j in _rivals(culture.m, i)],
+            "correlation": None if sub is None else sub.tolist(),
+            "L": float(value),
+            "method": method,
+            "stderr": stderr,
+        })
     total = math.fsum(t["L"] for t in terms)
     detail = {"terms": terms, "terms_sum": total}
     if culture.m == 3:
@@ -277,14 +268,16 @@ def classify_m3(culture: Culture, tol: float = DELTA_SIGN_TOL) -> tuple[int, flo
     """
     if culture.m != 3:
         raise ValueError(f"classification table applies to m=3, got m={culture.m}")
-    row = _table1_row(_margin_signs(lambda_matrix(culture), tol))
+    return _table1_value(*_decomposition(culture, tol))
+
+
+def _table1_value(signs: list[list[int]], parts: list) -> tuple[int, float]:
+    """Table row and stored-formula value of a three-candidate :func:`_decomposition`."""
+    row = _table1_row(signs)
     if row.kind == "sum3":
-        value = math.fsum(
-            0.25 + math.asin(float(correlation_matrix(culture, i)[0, 1])) / _TWO_PI
-            for i in range(3)
-        )
+        value = math.fsum(0.25 + math.asin(float(sub[0, 1])) / _TWO_PI for _, sub in parts)
     elif row.kind == "arcsin":
-        entry = float(correlation_matrix(culture, row.arcsin_candidate)[0, 1])
+        entry = float(parts[row.arcsin_candidate][1][0, 1])
         value = 0.75 + math.asin(entry) / _TWO_PI
     elif row.kind == "half":
         value = 0.5
@@ -359,17 +352,15 @@ def audit_table1(
     results = []
     for row in TABLE1:
         culture = sign_pattern_culture(row.signs, magnitude)
-        number, formula_value = classify_m3(culture)
+        signs, parts = _decomposition(culture, DELTA_SIGN_TOL)
+        number, formula_value = _table1_value(signs, parts)
         if number != row.number:
             raise AssertionError(
                 f"constructed culture for row {row.number} classified as {number}"
             )
-        lam = lambda_matrix(culture)
-        signs = _margin_signs(lam, DELTA_SIGN_TOL)
         mc_total = 0.0
         variance = 0.0
-        for i in range(3):
-            forced, sub = _split_term(culture, i, lam, signs)
+        for i, (forced, sub) in enumerate(parts):
             if sub is None:
                 mc_total += forced
                 continue
@@ -438,15 +429,16 @@ def ic_limit_closed(m: int) -> float:
 
 
 def ic_limit_sampford(m: int) -> float:
-    """Uniform-culture limit for any m >= 2 via the equicorrelated integral.
+    """Uniform-culture limit for any m >= 2.
 
     Under the uniform culture all margins are balanced and every candidate's
     correlation matrix is equicorrelated at 1/3, so the limit is m times the
-    (m-1)-dimensional orthant value.
+    (m-1)-dimensional orthant value from :func:`orthant_zero_probability`:
+    closed forms for m <= 4, the equicorrelated integral above.
     """
     if m < 2:
         raise ValueError(f"candidate count must be >= 2, got {m}")
-    value = m * equicorrelated_orthant(1.0 / 3.0, m - 1)
+    value = m * orthant_zero_probability((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0]
     if value > 1.0 + 1e-9:
         raise RuntimeError(f"quadrature produced an invalid probability {value!r}")
     return min(value, 1.0)

@@ -17,6 +17,7 @@ import json
 import sys
 
 from .asymptotic import (
+    DELTA_SIGN_TOL,
     DegenerateVarianceError,
     audit_table1,
     classify_m3,
@@ -33,13 +34,14 @@ from .culture import (
     save_culture,
 )
 from .exact import (
+    DEFAULT_COMPOSITION_BUDGET,
     EnumerationBudgetError,
     WinnerMode,
     exact_winner_probability,
     minimum_table,
 )
 from .montecarlo import McConfig, mc_convergence_sweep
-from .orthant import CorrelationMatrixError
+from .orthant import DEFAULT_MC_SAMPLES, CorrelationMatrixError
 
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 100_000
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=_parse_count,
-        default=50_000_000,
+        default=DEFAULT_COMPOSITION_BUDGET,
         help="refuse when n voters have more vote-count compositions over the support than this",
     )
     p.set_defaults(func=_cmd_exact)
@@ -272,15 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="limiting probability as voters grow without bound")
     _add_common(p, culture=True)
-    p.add_argument("--tol", type=float, default=1e-12, help="margin sign tolerance")
-    p.add_argument("--samples", type=_parse_count, default=10_000_000,
+    p.add_argument("--tol", type=float, default=DELTA_SIGN_TOL, help="margin sign tolerance")
+    p.add_argument("--samples", type=_parse_count, default=DEFAULT_MC_SAMPLES,
                    help="Monte Carlo samples for orthant terms without closed form")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("classify", help="three-candidate table row and value")
     _add_common(p, culture=True)
-    p.add_argument("--tol", type=float, default=1e-12, help="margin sign tolerance")
+    p.add_argument("--tol", type=float, default=DELTA_SIGN_TOL, help="margin sign tolerance")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("min-table", help="minimum winner probabilities over cultures")
@@ -296,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="audit the 27-row classification table by simulation")
     _add_common(p)
-    p.add_argument("--table1", action="store_true", help="audit the m=3 table (default action)")
-    p.add_argument("--samples", type=_parse_count, default=10_000_000)
+    p.add_argument("--samples", type=_parse_count, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_audit)
 

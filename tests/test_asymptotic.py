@@ -28,6 +28,7 @@ from condorcet import (
     pairwise_win_probability,
     sign_pattern_culture,
 )
+from condorcet.orthant import DEFAULT_MC_SEED
 from conftest import random_culture, random_dual_culture
 
 NEG = -math.inf
@@ -100,6 +101,9 @@ class TestCorrelationMatrix:
         p[0] = 1.0
         with pytest.raises(DegenerateVarianceError):
             correlation_matrix(Culture(3, p), 0)
+        for evaluate in (classify_m3, limiting_probability):  # balanced only under a huge tol
+            with pytest.raises(DegenerateVarianceError):
+                evaluate(Culture(3, p), tol=2.0)
 
     def test_candidate_out_of_range(self):
         with pytest.raises(ValueError):
@@ -182,6 +186,9 @@ class TestLimitingProbability:
         assert all(t["method"] == "monte-carlo" for t in r.detail["terms"])
         assert all(t["stderr"] > 0 for t in r.detail["terms"])
         assert r.stderr is None  # per-term stderr lives in the detail payload
+        for i, t in enumerate(r.detail["terms"]):  # one stream per candidate
+            sub = np.array(t["correlation"])
+            assert t["L"] == orthant_mc(sub, 100_000, seed=(DEFAULT_MC_SEED, i))[0]
 
     def test_term_sum_at_most_one(self, rng):
         for _ in range(50):
@@ -323,6 +330,9 @@ class TestIcCurve:
         rows = ic_curve([3, 4, 5, 6, 7])
         for m, value in rows:
             assert value == pytest.approx(ic_limit_closed(m), abs=1e-6)
+            if m <= 4:  # the closed forms that limit and ic-curve share
+                assert value == limiting_probability(impartial_culture(m)).value
+                assert value == ic_limit_closed(m)
 
     def test_strictly_decreasing_probabilities_in_unit_interval(self):
         rows = ic_curve(list(range(2, 15)))

@@ -172,7 +172,7 @@ class TestDeterminism:
         assert first == second
 
     def test_audit_deterministic_and_passing(self, capsys):
-        argv = ["audit", "--table1", "--samples", "1e5", "--seed", "3", "--format", "csv"]
+        argv = ["audit", "--samples", "1e5", "--seed", "3", "--format", "csv"]
         code, first, _ = run_cli(capsys, *argv)
         assert code == 0
         code, second, _ = run_cli(capsys, *argv)
