@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,17 +108,35 @@ def split_candidate(signs) -> tuple[float | None, list[int]]:
     return (None if kept else 1.0), kept
 
 
-def seeded_fraction(entropy, trials: int, width: int, hits) -> tuple[float, float]:
-    """Fraction of ``trials`` seeded draws that hit, with its binomial stderr.
+def count_argument(value, name: str) -> int:
+    """``value`` as a positive int, else a ValueError naming ``name``.
 
-    ``hits(rng, k)`` draws k rows of ``width`` values from ``rng`` and returns
-    how many rows hit. The rows come from one PCG64 stream seeded by
-    ``SeedSequence(entropy)``, in chunks of about ``_CHUNK_CELLS`` values.
-    numpy's generators fill rows in sequence, so the result depends only on
+    Accepts ints and numpy integers; rejects bools, floats and values below 1.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) -> tuple[float, float]:
+    """Fraction of ``trials`` seeded samples that hit, with its binomial stderr.
+
+    Each drawn row of ``width`` values yields ``per_row`` samples.
+    ``hits(rng, k)`` draws the rows of k samples from ``rng`` and returns how
+    many of the k samples hit. The rows come from one PCG64 stream seeded by
+    ``SeedSequence(entropy)``, in chunks of about ``_CHUNK_CELLS`` values and
+    whole rows; only the last chunk may end part-way through a row. numpy's
+    generators fill rows in sequence, so the result depends only on
     (entropy, trials), never on the chunk size.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    chunk = max(1, _CHUNK_CELLS // width)
+    chunk = per_row * max(1, _CHUNK_CELLS // width)
     total = sum(hits(rng, min(chunk, trials - start)) for start in range(0, trials, chunk))
     value = total / trials
     return value, math.sqrt(value * (1.0 - value) / trials)

@@ -16,21 +16,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Method, WinnerMode, WinnerProbability, pair_rows, seeded_fraction, winners_mask
+from .core import (
+    Method,
+    WinnerMode,
+    WinnerProbability,
+    count_argument,
+    pair_rows,
+    seeded_fraction,
+    winners_mask,
+)
 from .culture import Culture
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, seed, and winner mode for one estimation run."""
+    """Trial count, seed, and winner mode for one estimation run.
+
+    ``trials`` must be a positive int (numpy integers included); bools and
+    floats raise ValueError.
+    """
 
     trials: int
     seed: int = 0
     mode: WinnerMode = WinnerMode.STRONG
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", count_argument(self.trials, "trials"))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 

@@ -58,10 +58,14 @@ class TestDeterminism:
     def test_chunk_size_changes_nothing(self, monkeypatch, cells):
         c, cfg = impartial_culture(3), McConfig(trials=2_001, seed=11, mode=WinnerMode.WEAK)
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
-        whole = mc_winner_probability(c, 6, cfg), orthant_mc(r, 3_001, seed=(5, 2))
+        counts = (1, 3_000, 3_001)  # an odd count ends on half an antithetic pair
+        whole = mc_winner_probability(c, 6, cfg), [orthant_mc(r, k, seed=(5, 2)) for k in counts]
         by_voter = mc_winner_probability(impartial_culture(4), 5, cfg)  # 5 voters, 24 orders
         monkeypatch.setattr(core, "_CHUNK_CELLS", cells)
-        assert (mc_winner_probability(c, 6, cfg), orthant_mc(r, 3_001, seed=(5, 2))) == whole
+        assert (
+            mc_winner_probability(c, 6, cfg),
+            [orthant_mc(r, k, seed=(5, 2)) for k in counts],
+        ) == whole
         assert mc_winner_probability(impartial_culture(4), 5, cfg) == by_voter
 
     def test_full_support_stream_is_pinned(self):
@@ -184,6 +188,18 @@ class TestConfig:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
+
+    @pytest.mark.parametrize("trials", [1e4, 100.7, True, "10"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            mc_winner_probability(impartial_culture(3), 5, McConfig(trials=trials))
+
+    def test_numpy_integer_trials_accepted(self):
+        cfg = McConfig(trials=np.int64(1_000), seed=4)
+        assert type(cfg.trials) is int
+        assert mc_winner_probability(impartial_culture(3), 5, cfg) == mc_winner_probability(
+            impartial_culture(3), 5, McConfig(trials=1_000, seed=4)
+        )
 
     def test_seed_validated(self):
         with pytest.raises(ValueError):

@@ -183,3 +183,27 @@ class TestOrthantMc:
     def test_not_a_correlation_matrix(self):
         with pytest.raises(CorrelationMatrixError):
             orthant_mc(np.array([[2.0, 0.0], [0.0, 1.0]]), 1000, seed=0)
+
+    @pytest.mark.parametrize("samples", [2, 1_000, 100_000])
+    def test_each_antithetic_pair_hits_once_on_a_half_space(self, samples):
+        # In one dimension, and on a perfectly correlated pair, exactly one
+        # of u and -u lies in the orthant, so an even count gives exactly 1/2.
+        assert orthant_mc(np.eye(1), samples, seed=7)[0] == 0.5
+        assert orthant_mc(equi(1.0, 2), samples, seed=7)[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "r",
+        [equi(1 / 3, 2), np.eye(3), np.full((4, 4), -0.2) + 1.2 * np.eye(4)],
+        ids=["d2", "d3", "d4"],
+    )
+    def test_reported_stderr_bounds_the_spread_over_seeds(self, r):
+        runs = np.array([orthant_mc(r, 2_000, seed=s) for s in range(400)])
+        assert runs[:, 0].std(ddof=1) <= 1.1 * runs[:, 1].mean()
+
+    @pytest.mark.parametrize("samples", [1e5, 2.0, True, 0, -1])
+    def test_sample_count_must_be_a_positive_integer(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            orthant_mc(np.eye(2), samples, seed=0)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        assert orthant_mc(np.eye(2), np.int64(1_001), seed=5) == orthant_mc(np.eye(2), 1_001, seed=5)
