@@ -38,14 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import Method, WinnerProbability, pair_rows, split_candidate
+from .core import DEFAULT_SEED, Method, WinnerProbability, count_argument, pair_rows, split_candidate
 from .culture import Culture, pair_sign_matrix
-from .orthant import (
-    DEFAULT_MC_SAMPLES,
-    DEFAULT_MC_SEED,
-    orthant_mc,
-    orthant_zero_probability,
-)
+from .orthant import DEFAULT_MC_SAMPLES, orthant_mc, orthant_zero_probability
 
 _TWO_PI = 2.0 * math.pi
 
@@ -158,7 +153,7 @@ def limiting_probability(
     culture: Culture,
     tol: float = DELTA_SIGN_TOL,
     mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed=DEFAULT_MC_SEED,
+    mc_seed=DEFAULT_SEED,
 ) -> WinnerProbability:
     """Probability that a winner exists as the number of voters grows without bound.
 
@@ -167,11 +162,14 @@ def limiting_probability(
     with margin +/-1 never touch a correlation entry: their thresholds are
     +/-inf, so the coordinate is dropped (or the whole term is zero) before
     any submatrix is built. A Monte Carlo term of candidate i draws from the
-    stream ``(mc_seed, i)``, so the terms' errors are independent.
+    stream ``(mc_seed, i)``, so the result's stderr is the root sum of squares
+    of the terms' stderrs, None without a Monte Carlo term. The value is the
+    unclamped sum of the terms, held to the range rule of WinnerProbability.
 
     The returned detail carries the per-candidate terms; ``detail["case"]``
     holds the three-candidate table row when m = 3.
     """
+    mc_samples = count_argument(mc_samples, "mc_samples")
     signs, parts = _decomposition(culture, tol)
     terms = []
     for i, (forced, sub) in enumerate(parts):
@@ -188,10 +186,12 @@ def limiting_probability(
             "stderr": stderr,
         })
     total = math.fsum(t["L"] for t in terms)
+    variances = [t["stderr"] ** 2 for t in terms if t["method"] == "monte-carlo"]
+    stderr = math.sqrt(math.fsum(variances)) if variances else None
     detail = {"terms": terms, "terms_sum": total}
     if culture.m == 3:
         detail["case"] = _table1_row(signs).number
-    return WinnerProbability(min(max(total, 0.0), 1.0), Method.LIMIT, detail=detail)
+    return WinnerProbability(total, Method.LIMIT, stderr, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ class Table1AuditRow:
 
 def audit_table1(
     samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = DEFAULT_MC_SEED,
+    seed: int = DEFAULT_SEED,
     magnitude: float = 0.12,
 ) -> list[Table1AuditRow]:
     """Check every table row against a Monte Carlo orthant evaluation.
@@ -358,20 +358,13 @@ def audit_table1(
             raise AssertionError(
                 f"constructed culture for row {row.number} classified as {number}"
             )
-        mc_total = 0.0
-        variance = 0.0
-        for i, (forced, sub) in enumerate(parts):
-            if sub is None:
-                mc_total += forced
-                continue
-            estimate, stderr = orthant_mc(sub, samples, seed=(seed, row.number, i))
-            mc_total += estimate
-            variance += stderr**2
-        mc_stderr = math.sqrt(variance)
-        if mc_stderr > 0.0:
-            passed = abs(formula_value - mc_total) <= 4.0 * mc_stderr
-        else:
-            passed = formula_value == mc_total
+        draws = [
+            (forced, 0.0) if sub is None else orthant_mc(sub, samples, seed=(seed, row.number, i))
+            for i, (forced, sub) in enumerate(parts)
+        ]
+        mc_total = sum(estimate for estimate, _ in draws)
+        mc_stderr = math.sqrt(sum(stderr**2 for _, stderr in draws))
+        passed = abs(formula_value - mc_total) <= 4.0 * mc_stderr  # equality at zero stderr
         results.append(
             Table1AuditRow(row.number, row.signs, formula_value, mc_total, mc_stderr, passed)
         )
@@ -434,14 +427,13 @@ def ic_limit_sampford(m: int) -> float:
     Under the uniform culture all margins are balanced and every candidate's
     correlation matrix is equicorrelated at 1/3, so the limit is m times the
     (m-1)-dimensional orthant value from :func:`orthant_zero_probability`:
-    closed forms for m <= 4, the equicorrelated integral above.
+    closed forms for m <= 4, the equicorrelated integral above; the range rule
+    is that of WinnerProbability.
     """
     if m < 2:
         raise ValueError(f"candidate count must be >= 2, got {m}")
     value = m * orthant_zero_probability((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0]
-    if value > 1.0 + 1e-9:
-        raise RuntimeError(f"quadrature produced an invalid probability {value!r}")
-    return min(value, 1.0)
+    return WinnerProbability(value, Method.LIMIT).value
 
 
 def may_bound(m: int) -> float:

@@ -24,6 +24,7 @@ from .asymptotic import (
     ic_curve,
     limiting_probability,
 )
+from .core import DEFAULT_SEED
 from .culture import (
     Culture,
     CultureFormatError,
@@ -43,7 +44,6 @@ from .exact import (
 from .montecarlo import McConfig, mc_convergence_sweep
 from .orthant import DEFAULT_MC_SAMPLES, CorrelationMatrixError
 
-DEFAULT_SEED = 0
 DEFAULT_TRIALS = 100_000
 
 

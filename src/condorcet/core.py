@@ -19,6 +19,7 @@ import numpy as np
 from .culture import pair_sign_matrix
 
 _CHUNK_CELLS = 1 << 20  # values drawn per chunk, so memory grows with neither trials nor width
+DEFAULT_SEED = 0  # of every seeded estimate, in the library and on the command line
 
 
 class WinnerMode(enum.Enum):
@@ -40,10 +41,11 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class WinnerProbability:
-    """A winner-existence probability with its computation method.
+    """A winner-existence probability with its method, statistical error and detail.
 
-    ``stderr`` is set exactly when the method is Monte Carlo. ``detail`` holds
-    method-specific diagnostics (per-candidate terms, enumeration size, ...).
+    Monte Carlo results carry a ``stderr``, exact ones none, limits one when a
+    term is Monte Carlo. The one range rule of every method: a value within
+    1e-12 + 4 stderr of [0, 1] is clamped into it, any other raises ValueError.
     """
 
     value: float
@@ -52,14 +54,17 @@ class WinnerProbability:
     detail: dict | None = None
 
     def __post_init__(self) -> None:
+        if self.method is Method.MONTE_CARLO and self.stderr is None:
+            raise ValueError("Monte Carlo results must carry a stderr")
+        if self.method is Method.EXACT and self.stderr is not None:
+            raise ValueError("exact results carry no stderr")
+        if self.stderr is not None and not self.stderr >= 0.0:
+            raise ValueError(f"negative stderr: {self.stderr!r}")
         v = float(self.value)
-        if not -1e-12 <= v <= 1.0 + 1e-12:
+        slack = 1e-12 + 4.0 * (self.stderr or 0.0)
+        if not -slack <= v <= 1.0 + slack:  # also rejects NaN and inf
             raise ValueError(f"probability out of range: {v!r}")
         object.__setattr__(self, "value", min(max(v, 0.0), 1.0))
-        if (self.stderr is not None) != (self.method is Method.MONTE_CARLO):
-            raise ValueError("stderr must be present exactly for Monte Carlo results")
-        if self.stderr is not None and self.stderr < 0.0:
-            raise ValueError(f"negative stderr: {self.stderr!r}")
 
 
 @lru_cache(maxsize=None)

@@ -166,7 +166,8 @@ def exact_winner_probability(
     the last order takes the rest, and states with equal tallies merge. A
     state packs the voters placed and the tallies of the pairs of
     :func:`_tally_basis` as base-(n+1) digits into one unsigned integer. The
-    result is deterministic and bit-identical across runs.
+    value is the winning mass over ``detail["total_mass"]``, so the weights'
+    log-gamma rounding cancels; it is deterministic and bit-identical across runs.
 
     Raises
     ------
@@ -228,9 +229,10 @@ def exact_winner_probability(
         tally = sum(np.int64(c) * tallies[g] for g, c in enumerate(coeffs) if c)
         margins[:, col] = 2 * (tally // d) - n
     exists = winners_mask(margins, culture.m, mode.margin_threshold).any(axis=0)
+    total = weights.sum()
     detail = {"compositions": n_compositions, "support_size": s}
-    detail.update(total_mass=float(weights.sum()), states=int(keys.size))
-    return WinnerProbability(min(float(weights[exists].sum()), 1.0), Method.EXACT, detail=detail)
+    detail.update(total_mass=float(total), states=int(keys.size))
+    return WinnerProbability(float(weights[exists].sum() / total), Method.EXACT, detail=detail)
 
 
 def tie_probability(n: int, p_ij: float) -> float:

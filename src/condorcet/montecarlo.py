@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_SEED,
     Method,
     WinnerMode,
     WinnerProbability,
@@ -37,7 +38,7 @@ class McConfig:
     """
 
     trials: int
-    seed: int = 0
+    seed: int = DEFAULT_SEED
     mode: WinnerMode = WinnerMode.STRONG
 
     def __post_init__(self) -> None:

@@ -16,14 +16,13 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .core import count_argument, seeded_fraction, split_candidate
+from .core import DEFAULT_SEED, count_argument, seeded_fraction, split_candidate
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_PI = 2.0 * math.pi
 
 DEFAULT_MC_SAMPLES = 10_000_000
-DEFAULT_MC_SEED = 123456789
 EQUICORRELATION_TOL = 1e-12
 _INTEGRATION_HALF_WIDTH = 12.0  # exp(-144) tail, truncation error far below 1e-30
 
@@ -141,7 +140,7 @@ def _cholesky_with_jitter(r: np.ndarray) -> np.ndarray:
 def orthant_mc(
     r: np.ndarray,
     samples: int = DEFAULT_MC_SAMPLES,
-    seed=DEFAULT_MC_SEED,
+    seed=DEFAULT_SEED,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the positive-orthant probability of N(0, R).
 
@@ -185,7 +184,7 @@ def orthant_mc(
 def orthant_zero_probability(
     r: np.ndarray,
     mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed=DEFAULT_MC_SEED,
+    mc_seed=DEFAULT_SEED,
 ) -> tuple[float, float | None, str]:
     """Orthant probability with all thresholds at zero: (value, stderr, method).
 
@@ -216,7 +215,7 @@ def orthant_probability(
     deltas,
     r: np.ndarray,
     mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed=DEFAULT_MC_SEED,
+    mc_seed=DEFAULT_SEED,
 ) -> float:
     """L-function with thresholds restricted to 0 and +/- infinity.
 
@@ -226,6 +225,7 @@ def orthant_probability(
     valid correlation matrix in every dimension, else
     :class:`CorrelationMatrixError` is raised.
     """
+    mc_samples = count_argument(mc_samples, "mc_samples")
     deltas = np.asarray(deltas, dtype=float)
     r = validate_correlation_matrix(r)
     if deltas.shape != (r.shape[0],):

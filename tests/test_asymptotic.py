@@ -12,6 +12,7 @@ from condorcet import (
     audit_table1,
     bacon_recursion,
     orthant_mc,
+    orthant_probability,
     case7_culture,
     case17_culture,
     classify_deltas,
@@ -28,7 +29,7 @@ from condorcet import (
     pairwise_win_probability,
     sign_pattern_culture,
 )
-from condorcet.orthant import DEFAULT_MC_SEED
+from condorcet.core import DEFAULT_SEED
 from conftest import random_culture, random_dual_culture
 
 NEG = -math.inf
@@ -185,10 +186,19 @@ class TestLimitingProbability:
         r = limiting_probability(c, mc_samples=100_000)
         assert all(t["method"] == "monte-carlo" for t in r.detail["terms"])
         assert all(t["stderr"] > 0 for t in r.detail["terms"])
-        assert r.stderr is None  # per-term stderr lives in the detail payload
+        # independent streams: the term stderrs add in quadrature
+        assert r.stderr == math.sqrt(math.fsum(t["stderr"] ** 2 for t in r.detail["terms"]))
         for i, t in enumerate(r.detail["terms"]):  # one stream per candidate
             sub = np.array(t["correlation"])
-            assert t["L"] == orthant_mc(sub, 100_000, seed=(DEFAULT_MC_SEED, i))[0]
+            assert t["L"] == orthant_mc(sub, 100_000, seed=(DEFAULT_SEED, i))[0]
+
+    def test_sample_count_checked_without_a_monte_carlo_term(self):
+        with pytest.raises(ValueError, match="mc_samples"):
+            limiting_probability(impartial_culture(3), mc_samples=1.5)
+        with pytest.raises(ValueError, match="mc_samples"):
+            limiting_probability(cyclic_minimizer_culture(3), mc_samples=True)
+        with pytest.raises(ValueError, match="mc_samples"):
+            orthant_probability([0, 0], np.eye(2), mc_samples=1.5)
 
     def test_term_sum_at_most_one(self, rng):
         for _ in range(50):

@@ -6,8 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from condorcet import Culture, CultureFormatError, impartial_culture, load_culture_file, save_culture
+from condorcet import (
+    Culture,
+    CultureFormatError,
+    impartial_culture,
+    limiting_probability,
+    load_culture_file,
+    save_culture,
+)
 from condorcet.cli import load_culture, main
+from conftest import random_dual_culture
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +57,16 @@ class TestScalarCommands:
         assert term["deltas"] == ["0", "0"]
         assert term["correlation"][0][1] == pytest.approx(1 / 3, abs=1e-12)
         assert obj["value"] == pytest.approx(0.9122601719540891, abs=1e-12)
+
+    def test_limit_default_seed_is_the_library_default(self, capsys, tmp_path, rng):
+        path = tmp_path / "dual5.csv"
+        save_culture(random_dual_culture(rng, 5), path)
+        code, out, _ = run_cli(
+            capsys, "limit", "--culture", str(path), "--samples", "100000", "--format", "csv"
+        )
+        assert code == 0
+        expected = limiting_probability(load_culture_file(path), mc_samples=100_000).value
+        assert out.splitlines()[-1] == str(expected)
 
     def test_classify(self, capsys):
         code, out, _ = run_cli(

@@ -98,6 +98,28 @@ def fraction_oracle(m: int, weights, n: int, mode=WinnerMode.STRONG) -> tuple[Fr
     return Fraction(win, sum(weights) ** n), len(seen)
 
 
+def voter_recursion_m3(n: int) -> float:
+    """Independent check for the uniform culture at m = 3, one voter at a time.
+
+    Holds the distribution of the margins of the pairs (0, 1), (0, 2), (1, 2)
+    in a (2n + 1)^3 array and adds each voter by shifting it one step along
+    every axis in the direction of the voter's order, each order with weight
+    1/6. There are no binomial weights and no merged states.
+    """
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    shifts = []
+    for order in enumerate_rank_orders(3):
+        pos = {c: r for r, c in enumerate(order)}
+        shifts.append(tuple(1 if pos[a] < pos[b] else -1 for a, b in pairs))
+    dist = np.zeros((2 * n + 1,) * 3)
+    dist[n, n, n] = 1.0
+    for _ in range(n):
+        dist = sum(np.roll(dist, shift, axis=(0, 1, 2)) for shift in shifts) / 6.0
+    m01, m02, m12 = np.meshgrid(*[np.arange(-n, n + 1)] * 3, indexing="ij")
+    wins = (m01 > 0) & (m02 > 0) | (m01 < 0) & (m12 > 0) | (m02 < 0) & (m12 < 0)
+    return float(dist[wins].sum())
+
+
 def rational_culture(m: int, weights) -> Culture:
     return Culture(m, np.array(weights, dtype=float) / sum(weights))
 
@@ -137,6 +159,10 @@ class TestExactWinnerProbability:
             c = random_culture(rng)
             assert exact_winner_probability(c, 1).value == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_single_voter_uniform_is_exactly_one(self, m):
+        assert exact_winner_probability(impartial_culture(m), 1).value == 1.0
+
     def test_cyclic_n3_is_7_9(self):
         r = exact_winner_probability(cyclic_minimizer_culture(3), 3)
         assert r.method is Method.EXACT
@@ -163,6 +189,11 @@ class TestExactWinnerProbability:
         assert exact_winner_probability(c, n).value == pytest.approx(
             sequence_oracle(c, n), abs=1e-9
         )
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_impartial_m3_matches_voter_recursion(self, n):
+        value = exact_winner_probability(impartial_culture(3), n).value
+        assert abs(value - voter_recursion_m3(n)) <= 2e-15
 
     @pytest.mark.parametrize("mode", [WinnerMode.STRONG, WinnerMode.WEAK])
     def test_random_culture_matches_sequence_oracle(self, rng, mode):
@@ -228,11 +259,14 @@ class TestExactWinnerProbability:
         # Every margin is k - (n - k): strong needs k != n/2, weak always has a winner.
         probs = np.zeros(6)
         probs[[order_index((0, 1, 2)), order_index((2, 1, 0))]] = 0.5
-        n = 10_000
-        r = exact_winner_probability(Culture(3, probs), n, mode)
-        expected = 1.0 - tie_probability(n, 0.5) if mode is WinnerMode.STRONG else 1.0
-        assert r.value == pytest.approx(expected, abs=1e-11)
-        assert r.detail["states"] == n + 1
+        for n in (10_000, 9_999):
+            r = exact_winner_probability(Culture(3, probs), n, mode)
+            expected = 1.0 - tie_probability(n, 0.5) if mode is WinnerMode.STRONG else 1.0
+            if expected == 1.0:  # every state has a winner
+                assert r.value == 1.0
+            else:
+                assert r.value == pytest.approx(expected, abs=1e-11)
+            assert r.detail["states"] == n + 1
 
     def test_single_order_at_large_n(self):
         probs = np.zeros(24)
