@@ -17,8 +17,8 @@ Three per-voter quantities drive the computation:
 One pass per culture turns these into the per-candidate decomposition: each
 candidate's term is either forced to 0 or 1 by its infinite thresholds, or is
 the orthant probability of the correlation matrix of its balanced rivals. The
-limit is the sum of the terms, each evaluated by
-:func:`~condorcet.orthant.orthant_zero_probability`. For three candidates the
+limit is the sum of the terms: closed forms where they exist, and for the rest
+one shared Monte Carlo draw of their balanced margins. For three candidates the
 27 sign patterns of the margins reduce to a fixed table of closed forms
 (``TABLE1``); ``classify_m3`` evaluates a row's stored formula from the same
 pass, and ``audit_table1`` checks every row against an independent Monte Carlo
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import DEFAULT_SEED, Method, WinnerProbability, count_argument, pair_rows, split_candidate
+from .core import DEFAULT_SEED, Method, WinnerProbability, count_argument, pair_rows, seed_argument, split_candidate
 from .culture import Culture, pair_sign_matrix
-from .orthant import DEFAULT_MC_SAMPLES, orthant_mc, orthant_zero_probability
+from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, orthant_mc, orthant_zero_probability, orthants_mc
 
 _TWO_PI = 2.0 * math.pi
 
@@ -93,23 +93,21 @@ def _rivals(m: int, i: int) -> list[int]:
     return [j for j in range(m) if j != i]
 
 
-def _correlation_submatrix(culture: Culture, i: int, rivals: list[int], lam: np.ndarray) -> np.ndarray:
-    """Correlation matrix of candidate i's margins against ``rivals``.
+def _correlation_submatrix(culture: Culture, first, second, lam: np.ndarray) -> np.ndarray:
+    """Correlation matrix of the margins of the pairs (first, second), indices broadcast.
 
-    Entry (j, l) is (E[s_ij s_il] - lam_ij lam_il) / sqrt((1 - lam_ij^2)(1 - lam_il^2))
-    where s_ij is the voter's +/-1 preference between i and j. Raises
-    :class:`DegenerateVarianceError` when a listed rival's margin is +/-1
-    within 1e-12.
+    Entry (p, q) is (E[s_p s_q] - lam_p lam_q) / sqrt((1 - lam_p^2)(1 - lam_q^2))
+    where s_ab is the voter's +/-1 preference between a and b. Raises
+    :class:`DegenerateVarianceError` when a listed margin is +/-1 within 1e-12.
     """
-    degenerate = [j for j in rivals if abs(lam[i, j]) >= 1.0 - DEGENERATE_MARGIN_TOL]
-    if degenerate:
+    lam_row = lam[first, second]
+    degenerate = np.abs(lam_row) >= 1.0 - DEGENERATE_MARGIN_TOL
+    if degenerate.any():
         raise DegenerateVarianceError(
-            f"margin of candidate {i} against {degenerate} is +/-1; "
+            f"margin of candidate {first} against {np.asarray(second)[degenerate].tolist()} is +/-1; "
             "the correlation entry is undefined"
         )
-    signs = pair_sign_matrix(culture.m)
-    rows = signs[i, rivals, :].astype(float)  # (len(rivals), K)
-    lam_row = lam[i, rivals]
+    rows = pair_sign_matrix(culture.m)[first, second, :].astype(float)  # (pairs, K)
     second_moment = (rows * culture.probs) @ rows.T
     sd = np.sqrt(1.0 - lam_row**2)
     r = (second_moment - np.outer(lam_row, lam_row)) / np.outer(sd, sd)
@@ -131,8 +129,8 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     return _correlation_submatrix(culture, i, _rivals(culture.m, i), lambda_matrix(culture))
 
 
-def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[tuple]]:
-    """The margin signs and, per candidate, (forced term, None) or (None, R).
+def _decomposition(culture: Culture, tol: float) -> tuple[np.ndarray, list[list[int]], list[tuple]]:
+    """The margins, their signs and, per candidate, (forced term, None) or (None, R).
 
     The forced term is 0 or 1; R is the correlation matrix of the balanced rivals.
     """
@@ -146,7 +144,7 @@ def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[
         if forced is None:
             sub = _correlation_submatrix(culture, i, [rivals[k] for k in kept], lam)
         parts.append((forced, sub))
-    return signs, parts
+    return lam, signs, parts
 
 
 def limiting_probability(
@@ -161,22 +159,24 @@ def limiting_probability(
     standardized margin vector with thresholds from the margin signs. Pairs
     with margin +/-1 never touch a correlation entry: their thresholds are
     +/-inf, so the coordinate is dropped (or the whole term is zero) before
-    any submatrix is built. A Monte Carlo term of candidate i draws from the
-    stream ``(mc_seed, i)``, so the result's stderr is the root sum of squares
-    of the terms' stderrs, None without a Monte Carlo term. The value is the
-    unclamped sum of the terms, held to the range rule of WinnerProbability.
+    any submatrix is built. Terms without a closed form read one shared draw
+    seeded by ``mc_seed``. The stderr is the root sum of squares of theirs,
+    None without one; the terms are exclusive events, so it is conservative.
+    The value is the unclamped sum of the terms, held to WinnerProbability's range.
 
     The returned detail carries the per-candidate terms; ``detail["case"]``
     holds the three-candidate table row when m = 3.
     """
     mc_samples = count_argument(mc_samples, "mc_samples")
-    signs, parts = _decomposition(culture, tol)
+    mc_seed = seed_argument(mc_seed, "mc_seed")
+    lam, signs, parts = _decomposition(culture, tol)
+    evaluated = [(forced, None, "exact") if sub is None else closed_orthant(sub) for forced, sub in parts]
+    sampled = [i for i, term in enumerate(evaluated) if term is None]
+    estimates = _shared_draw(culture, lam, signs, sampled, mc_samples, mc_seed) if sampled else []
+    for i, estimate in zip(sampled, estimates):
+        evaluated[i] = (*estimate, "monte-carlo")
     terms = []
-    for i, (forced, sub) in enumerate(parts):
-        if sub is None:
-            value, stderr, method = forced, None, "exact"
-        else:
-            value, stderr, method = orthant_zero_probability(sub, mc_samples, np.append(mc_seed, i))
+    for i, ((_, sub), (value, stderr, method)) in enumerate(zip(parts, evaluated)):
         terms.append({
             "candidate": i,
             "deltas": [_THRESHOLD_LABELS[signs[i][j]] for j in _rivals(culture.m, i)],
@@ -192,6 +192,19 @@ def limiting_probability(
     if culture.m == 3:
         detail["case"] = _table1_row(signs).number
     return WinnerProbability(total, Method.LIMIT, stderr, detail)
+
+
+def _shared_draw(culture: Culture, lam, signs, candidates, samples, seed) -> list[tuple[float, float]]:
+    """Monte Carlo terms of ``candidates`` from one draw of their balanced pairs' margins.
+
+    Pairs (a, b) have a < b; candidate i reads rival j's at sign +1 if i < j, else -1.
+    """
+    signed_pairs = [[(min(i, j), max(i, j), 1 if i < j else -1) for j in _rivals(culture.m, i)
+                     if signs[i][j] == 0] for i in candidates]
+    pairs = sorted({(a, b) for group in signed_pairs for a, b, _ in group})
+    r = _correlation_submatrix(culture, *np.array(pairs).T, lam)
+    groups = [[(pairs.index((a, b)), s) for a, b, s in group] for group in signed_pairs]
+    return orthants_mc(r, groups, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +281,7 @@ def classify_m3(culture: Culture, tol: float = DELTA_SIGN_TOL) -> tuple[int, flo
     """
     if culture.m != 3:
         raise ValueError(f"classification table applies to m=3, got m={culture.m}")
-    return _table1_value(*_decomposition(culture, tol))
+    return _table1_value(*_decomposition(culture, tol)[1:])
 
 
 def _table1_value(signs: list[list[int]], parts: list) -> tuple[int, float]:
@@ -349,10 +362,11 @@ def audit_table1(
     all forced to 0 or 1 by infinite thresholds have zero stderr and must
     match exactly. Deterministic for a fixed seed.
     """
+    seed = seed_argument(seed, "seed")
     results = []
     for row in TABLE1:
         culture = sign_pattern_culture(row.signs, magnitude)
-        signs, parts = _decomposition(culture, DELTA_SIGN_TOL)
+        _, signs, parts = _decomposition(culture, DELTA_SIGN_TOL)
         number, formula_value = _table1_value(signs, parts)
         if number != row.number:
             raise AssertionError(

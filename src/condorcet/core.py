@@ -113,20 +113,26 @@ def split_candidate(signs) -> tuple[float | None, list[int]]:
     return (None if kept else 1.0), kept
 
 
-def count_argument(value, name: str) -> int:
-    """``value`` as a positive int, else a ValueError naming ``name``.
-
-    Accepts ints and numpy integers; rejects bools, floats and values below 1.
-    """
+def _integer_argument(value, name: str, low: int, high: float, rule: str) -> int:
     try:
-        count = operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        count = None
-    if count is None or isinstance(value, bool):
+        number = None
+    if number is None or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
-    return count
+    if not low <= number < high:
+        raise ValueError(f"{name} must be {rule}, got {number}")
+    return number
+
+
+def count_argument(value, name: str) -> int:
+    """``value`` as a positive int (numpy integers too; not bools or floats), else a ValueError."""
+    return _integer_argument(value, name, 1, math.inf, ">= 1")
+
+
+def seed_argument(value, name: str) -> int:
+    """``value`` as an int in [0, 2**64), else a ValueError; as :func:`count_argument`."""
+    return _integer_argument(value, name, 0, 2**64, "an unsigned 64-bit integer")
 
 
 def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) -> tuple[float, float]:

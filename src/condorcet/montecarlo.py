@@ -23,6 +23,7 @@ from .core import (
     WinnerProbability,
     count_argument,
     pair_rows,
+    seed_argument,
     seeded_fraction,
     winners_mask,
 )
@@ -33,8 +34,8 @@ from .culture import Culture
 class McConfig:
     """Trial count, seed, and winner mode for one estimation run.
 
-    ``trials`` must be a positive int (numpy integers included); bools and
-    floats raise ValueError.
+    ``trials`` must be a positive int and ``seed`` an int in [0, 2**64), numpy
+    integers included; bools and floats raise ValueError.
     """
 
     trials: int
@@ -43,8 +44,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", count_argument(self.trials, "trials"))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        object.__setattr__(self, "seed", seed_argument(self.seed, "seed"))
 
 
 def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerProbability:

@@ -3,10 +3,12 @@
 These are the L-functions of the large-electorate limit: the probability that
 every coordinate of a standardized normal vector with correlation matrix R is
 non-negative. Closed forms exist through dimension three; equicorrelated
-matrices of any dimension reduce to a one-dimensional integral; everything
-else falls back to a seeded Monte Carlo estimate over antithetic pairs of
-normal rows (u and -u), which needs half the normal draws of plain sampling
-and reports the binomial standard error as an upper bound.
+matrices of any dimension reduce to a one-dimensional integral
+(:func:`closed_orthant`); everything else falls back to a seeded Monte Carlo
+estimate over antithetic pairs of normal rows (u and -u), which needs half
+the normal draws of plain sampling and reports the binomial standard error as
+an upper bound. One draw can serve several orthants of signed coordinates of
+the same vector (:func:`orthants_mc`).
 """
 
 from __future__ import annotations
@@ -137,48 +139,85 @@ def _cholesky_with_jitter(r: np.ndarray) -> np.ndarray:
     )
 
 
-def orthant_mc(
+def orthants_mc(
     r: np.ndarray,
+    groups,
     samples: int = DEFAULT_MC_SAMPLES,
     seed=DEFAULT_SEED,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the positive-orthant probability of N(0, R).
+) -> list[tuple[float, float]]:
+    """Monte Carlo orthant probabilities of groups of signed coordinates of N(0, R).
 
-    Returns (estimate, stderr). Samples come in antithetic pairs: each
-    standard-normal row u gives the samples u and -u, so ``samples`` draws
-    need ceil(samples / 2) rows (for an odd count the last row's mirror is not
-    drawn as a sample). The estimate is the fraction of samples in the orthant
-    and depends only on (seed, samples): rows come from one PCG64 stream, in
-    chunks of about 2**20 normal values whatever the sample count or dimension.
-
-    The reported stderr is the binomial sqrt(v (1 - v) / samples). It bounds
-    the estimator's standard error from above: at most one sample of a pair
-    lies in the orthant, which makes the true figure sqrt(v (1 - 2 v) / samples).
-    ``samples`` must be a positive int (numpy integers included); bools and
-    floats raise ValueError.
+    A group is a sequence of (coordinate, sign) pairs, sign +1 or -1; its
+    estimate is the fraction of samples z with every sign * z[coordinate] >= 0.
+    All groups read the same antithetic samples: each standard-normal row u
+    gives u and -u (an odd count leaves out the last row's mirror). Rows come
+    from one PCG64 stream in chunks of about 2**20 normal values, so the result
+    depends only on (seed, samples). Returns, per group, the estimate v and the
+    binomial stderr sqrt(v (1 - v) / samples).
     """
     r = validate_correlation_matrix(r)
     samples = count_argument(samples, "samples")
     d = r.shape[0]
     if d == 0:
-        return 1.0, 0.0
+        return [(1.0, 0.0)] * len(groups)
     chol = _cholesky_with_jitter(r)
+    counts = np.zeros(len(groups), dtype=np.int64)
 
     def hits(rng: np.random.Generator, size: int) -> int:
-        # Row u hits when every coordinate of L u is >= 0, its mirror -u when
-        # every one is <= 0; (L u)_0 = L_00 u_0 with L_00 > 0, so a pair hits at
-        # most once. z is (d, rows), so each coordinate's test reads one
-        # contiguous array rather than a strided column.
+        # Row u hits a group when each signed coordinate is >= 0, -u when each is
+        # <= 0 (both only if all are 0). z is (d, rows): each test reads one row.
         z = chol @ rng.standard_normal(((size + 1) // 2, d)).T
-        up, down = z[0] >= 0.0, z[0] <= 0.0
-        for coordinate in z[1:]:
-            up &= coordinate >= 0.0
-            down &= coordinate <= 0.0
-        if size % 2:
-            down[-1] = False  # an odd count stops before the last row's mirror
-        return int(np.count_nonzero(up)) + int(np.count_nonzero(down))
+        at_least = {1: z >= 0.0, -1: z <= 0.0}  # sign * z >= 0
+        for g, group in enumerate(groups):
+            up, down = np.ones((2, z.shape[1]), dtype=bool)
+            for coordinate, sign in group:
+                up &= at_least[sign][coordinate]
+                down &= at_least[-sign][coordinate]
+            if size % 2:
+                down[-1] = False  # an odd count stops before the last row's mirror
+            counts[g] += np.count_nonzero(up) + np.count_nonzero(down)
+        return 0  # counted per group above; seeded_fraction supplies the stream and chunks
 
-    return seeded_fraction(seed, samples, d, hits, per_row=2)
+    seeded_fraction(seed, samples, d, hits, per_row=2)
+    return [(v, math.sqrt(v * (1.0 - v) / samples)) for v in (int(c) / samples for c in counts)]
+
+
+def orthant_mc(
+    r: np.ndarray,
+    samples: int = DEFAULT_MC_SAMPLES,
+    seed=DEFAULT_SEED,
+) -> tuple[float, float]:
+    """Monte Carlo (estimate, stderr) of the positive-orthant probability of N(0, R).
+
+    :func:`orthants_mc` for one group, every coordinate at sign +1. The stderr
+    is an upper bound: at most one sample of a pair lies in the orthant, so
+    the estimator's is sqrt(v (1 - 2 v) / samples).
+    """
+    d = validate_correlation_matrix(r).shape[0]
+    return orthants_mc(r, [[(k, 1) for k in range(d)]], samples, seed)[0]
+
+
+def closed_orthant(r: np.ndarray) -> tuple[float, None, str] | None:
+    """(value, None, method) of R's orthant probability, None when only Monte Carlo serves.
+
+    Closed forms up to d = 3; above, an equicorrelated R (within 1e-12) gives 1/2
+    at correlation 1 (one normal repeated) and the integral at 0 <= rho < 1.
+    """
+    r = np.asarray(r, dtype=float)
+    d = r.shape[0]
+    if d <= 1:
+        return 0.5**d, None, "exact"
+    if d == 2:
+        return 0.25 + math.asin(float(r[0, 1])) / _TWO_PI, None, "closed-form"
+    if d == 3:
+        arcs = math.asin(float(r[0, 1])) + math.asin(float(r[0, 2])) + math.asin(float(r[1, 2]))
+        return (1.0 + (2.0 / math.pi) * arcs) / 8.0, None, "closed-form"
+    rho = _common_correlation(r)
+    if rho is not None and rho >= 1.0 - EQUICORRELATION_TOL:
+        return 0.5, None, "closed-form"
+    if rho is not None and rho >= 0.0:
+        return equicorrelated_orthant(rho, d), None, "equicorrelated-integral"
+    return None
 
 
 def orthant_zero_probability(
@@ -186,29 +225,8 @@ def orthant_zero_probability(
     mc_samples: int = DEFAULT_MC_SAMPLES,
     mc_seed=DEFAULT_SEED,
 ) -> tuple[float, float | None, str]:
-    """Orthant probability with all thresholds at zero: (value, stderr, method).
-
-    Dimensions 0..3 use closed forms; dimension >= 4 uses the equicorrelated
-    integral when the matrix is equicorrelated with non-negative correlation
-    (detected within 1e-12), otherwise a Monte Carlo estimate whose stderr is
-    reported.
-    """
-    r = np.asarray(r, dtype=float)
-    d = r.shape[0]
-    if d == 0:
-        return 1.0, None, "exact"
-    if d == 1:
-        return 0.5, None, "exact"
-    if d == 2:
-        return 0.25 + math.asin(float(r[0, 1])) / _TWO_PI, None, "closed-form"
-    if d == 3:
-        arcs = math.asin(float(r[0, 1])) + math.asin(float(r[0, 2])) + math.asin(float(r[1, 2]))
-        return (1.0 + (2.0 / math.pi) * arcs) / 8.0, None, "closed-form"
-    rho = _common_correlation(r)
-    if rho is not None and rho >= 0.0:
-        return equicorrelated_orthant(rho, d), None, "equicorrelated-integral"
-    estimate, stderr = orthant_mc(r, mc_samples, mc_seed)
-    return estimate, stderr, "monte-carlo"
+    """(value, stderr, method) with all thresholds at zero: :func:`closed_orthant`, else Monte Carlo."""
+    return closed_orthant(r) or (*orthant_mc(r, mc_samples, mc_seed), "monte-carlo")
 
 
 def orthant_probability(

@@ -26,6 +26,7 @@ from condorcet import (
     lambda_matrix,
     limiting_probability,
     may_bound,
+    order_index,
     pairwise_win_probability,
     sign_pattern_culture,
 )
@@ -186,11 +187,52 @@ class TestLimitingProbability:
         r = limiting_probability(c, mc_samples=100_000)
         assert all(t["method"] == "monte-carlo" for t in r.detail["terms"])
         assert all(t["stderr"] > 0 for t in r.detail["terms"])
-        # independent streams: the term stderrs add in quadrature
+        # the terms read one draw; their stderrs add in quadrature, which is conservative
         assert r.stderr == math.sqrt(math.fsum(t["stderr"] ** 2 for t in r.detail["terms"]))
-        for i, t in enumerate(r.detail["terms"]):  # one stream per candidate
-            sub = np.array(t["correlation"])
-            assert t["L"] == orthant_mc(sub, 100_000, seed=(DEFAULT_SEED, i))[0]
+        for i, t in enumerate(r.detail["terms"]):
+            assert round(t["L"] * 100_000) / 100_000 == t["L"]  # a count of the 100 000 samples
+            est, se = orthant_mc(np.array(t["correlation"]), 400_000, seed=(9, i))
+            assert abs(t["L"] - est) <= 5 * math.hypot(t["stderr"], se)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_shared_draw_total_spreads_within_reported_stderr(self, rng, m):
+        # The terms are exclusive events of one vector, so the errors of the
+        # total partly cancel: its spread over seeds stays below the
+        # root-sum-square stderr.
+        c = random_dual_culture(rng, m)
+        runs = [limiting_probability(c, mc_samples=4_000, mc_seed=s) for s in range(200)]
+        assert np.std([r.value for r in runs], ddof=1) <= 1.1 * np.mean([r.stderr for r in runs])
+
+    def test_rank_deficient_joint_matrix(self):
+        # Four orders and their reversals: the ten margins span four dimensions.
+        orders = [(0, 1, 2, 3, 4), (1, 3, 0, 4, 2), (2, 0, 4, 1, 3), (3, 4, 1, 0, 2)]
+        p = np.zeros(120)
+        for weight, order in zip((0.1, 0.2, 0.3, 0.4), orders):
+            p[order_index(order)] = p[order_index(order[::-1])] = weight / 2
+        r = limiting_probability(Culture(5, p), mc_samples=200_000)
+        for i, t in enumerate(r.detail["terms"]):
+            assert t["method"] == "monte-carlo"
+            # each term on its own, from the per-candidate stream (seed, i)
+            est, se = orthant_mc(np.array(t["correlation"]), 200_000, seed=(DEFAULT_SEED, i))
+            assert abs(t["L"] - est) <= 5 * math.hypot(t["stderr"], se)
+
+    def test_two_reversed_orders_m5_is_one(self):
+        # Candidates 0 and 4 have one margin repeated (correlation 1, term 1/2);
+        # the middle candidates' margins disagree in sign, so they never win.
+        p = np.zeros(120)
+        p[order_index((0, 1, 2, 3, 4))] = p[order_index((4, 3, 2, 1, 0))] = 0.5
+        r = limiting_probability(Culture(5, p), mc_samples=10_000)
+        assert r.value == 1.0
+        assert [t["L"] for t in r.detail["terms"]] == [0.5, 0.0, 0.0, 0.0, 0.5]
+        assert [t["method"] for t in r.detail["terms"]][::4] == ["closed-form"] * 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_checked_on_entry(self, rng, seed):
+        for culture in (impartial_culture(3), random_dual_culture(rng, 5)):
+            with pytest.raises(ValueError, match="mc_seed"):
+                limiting_probability(culture, mc_samples=1_000, mc_seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            audit_table1(samples=1_000, seed=seed)
 
     def test_sample_count_checked_without_a_monte_carlo_term(self):
         with pytest.raises(ValueError, match="mc_samples"):
@@ -262,6 +304,32 @@ class TestTable1Data:
         assert kinds.count("half") == 6
         assert kinds.count("arcsin") == 6
         assert kinds.count("sum3") == 1
+
+    def test_audit_rows_pinned(self):
+        # audit_table1 keeps orthant_mc's stream per (seed, row, candidate)
+        rows = audit_table1(samples=20_001, seed=3)
+        assert [(r.number, r.mc_value, r.mc_stderr) for r in rows if r.mc_stderr > 0] == [
+            (1, 0.9121043947802611, 0.005633547925830992),
+            (2, 0.8106094695265236, 0.004817149321623954),
+            (3, 0.808059597020149, 0.0048121997035056275),
+            (4, 0.8084095795210239, 0.0048127973542959855),
+            (5, 0.8061596920153992, 0.004808290353980348),
+            (6, 0.5000249987500625, 0.003535445516480649),
+            (7, 1.0, 0.004999874998438085),
+            (8, 0.4999750012499375, 0.003535445516480649),
+            (10, 0.5000249987500625, 0.003535445516480649),
+            (12, 1.0, 0.004999874998438085),
+            (13, 0.4999750012499375, 0.003535445516480649),
+            (18, 0.8038598070096494, 0.004803726439835265),
+            (19, 0.8036598170091496, 0.004803215818036527),
+            (21, 0.4999750012499375, 0.003535445516480649),
+            (22, 0.4999750012499375, 0.003535445516480649),
+            (25, 1.0, 0.004999874998438085),
+        ]
+        assert [(r.number, r.mc_value) for r in rows if r.mc_stderr == 0] == [
+            (9, 1.0), (11, 1.0), (14, 1.0), (15, 1.0), (16, 1.0), (17, 0.0),
+            (20, 1.0), (23, 1.0), (24, 0.0), (26, 1.0), (27, 1.0),
+        ]
 
     def test_audit_small_sample(self):
         rows = audit_table1(samples=100_000, seed=77)

@@ -68,6 +68,13 @@ class TestScalarCommands:
         expected = limiting_probability(load_culture_file(path), mc_samples=100_000).value
         assert out.splitlines()[-1] == str(expected)
 
+    @pytest.mark.parametrize("command", ["limit", "audit"])
+    def test_negative_seed_is_a_usage_error(self, capsys, command):
+        culture = ["--culture", "ic", "--m", "3"] if command == "limit" else ["--samples", "10"]
+        code, out, err = run_cli(capsys, command, *culture, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "seed" in err
+
     def test_classify(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "--culture", "cyclic", "--m", "3", "--format", "csv"

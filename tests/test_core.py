@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from condorcet import Method, WinnerProbability
+from condorcet.core import seed_argument
 
 
 class TestWinnerProbabilityRange:
@@ -35,3 +37,15 @@ class TestWinnerProbabilityRange:
     def test_negative_stderr_raises(self):
         with pytest.raises(ValueError, match="negative stderr"):
             WinnerProbability(0.5, Method.MONTE_CARLO, stderr=-1e-3)
+
+
+class TestSeedArgument:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.uint64(5), np.int32(3)])
+    def test_accepts_unsigned_64_bit_integers(self, seed):
+        assert seed_argument(seed, "seed") == int(seed)
+        assert type(seed_argument(seed, "seed")) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 3.0, True, "3", None])
+    def test_rejects_everything_else_naming_the_argument(self, seed):
+        with pytest.raises(ValueError, match="mc_seed"):
+            seed_argument(seed, "mc_seed")

@@ -20,7 +20,7 @@ from condorcet import (
     save_culture,
 )
 from condorcet import core
-from conftest import random_culture
+from conftest import random_culture, random_dual_culture
 
 
 def sparse_culture(m: int, size: int, seed: int) -> Culture:
@@ -61,12 +61,15 @@ class TestDeterminism:
         counts = (1, 3_000, 3_001)  # an odd count ends on half an antithetic pair
         whole = mc_winner_probability(c, 6, cfg), [orthant_mc(r, k, seed=(5, 2)) for k in counts]
         by_voter = mc_winner_probability(impartial_culture(4), 5, cfg)  # 5 voters, 24 orders
+        dual = random_dual_culture(np.random.default_rng(3), 5)  # five terms, one shared draw
+        limit = limiting_probability(dual, mc_samples=3_001, mc_seed=4)
         monkeypatch.setattr(core, "_CHUNK_CELLS", cells)
         assert (
             mc_winner_probability(c, 6, cfg),
             [orthant_mc(r, k, seed=(5, 2)) for k in counts],
         ) == whole
         assert mc_winner_probability(impartial_culture(4), 5, cfg) == by_voter
+        assert limiting_probability(dual, mc_samples=3_001, mc_seed=4) == limit
 
     def test_full_support_stream_is_pinned(self):
         # With full support and n >= m! the draw is the multinomial over all
@@ -206,3 +209,7 @@ class TestConfig:
             McConfig(trials=1, seed=-1)
         with pytest.raises(ValueError):
             McConfig(trials=1, seed=2**64)
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                McConfig(trials=1, seed=seed)
+        assert type(McConfig(trials=1, seed=np.uint64(2**64 - 1)).seed) is int

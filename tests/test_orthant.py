@@ -12,6 +12,7 @@ from condorcet import (
     orthant_probability,
     std_normal_cdf,
 )
+from condorcet.orthant import orthant_zero_probability
 
 NEG = -math.inf
 POS = math.inf
@@ -205,5 +206,24 @@ class TestOrthantMc:
         with pytest.raises(ValueError, match="samples"):
             orthant_mc(np.eye(2), samples, seed=0)
 
+    def test_value_pinned(self):
+        # audit_table1 and the benchmark read this stream; it must not move
+        r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
+        assert orthant_mc(r, 30_001, seed=(5, 2)) == (0.019732675577480752, 0.0008029664238924055)
+
     def test_numpy_integer_sample_count_accepted(self):
         assert orthant_mc(np.eye(2), np.int64(1_001), seed=5) == orthant_mc(np.eye(2), 1_001, seed=5)
+
+
+class TestDispatcher:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_common_correlation_one_is_half(self, d):
+        # one normal repeated d times: the orthant is the half line
+        value, stderr, _ = orthant_zero_probability(np.ones((d, d)))
+        assert (value, stderr) == (0.5, None)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_common_correlation_one_within_tolerance(self, d):
+        # above dimension 3 a common correlation within 1e-12 of 1 counts as 1
+        near_one = np.ones((d, d)) - 1e-13 * (1 - np.eye(d))
+        assert orthant_zero_probability(near_one) == (0.5, None, "closed-form")
