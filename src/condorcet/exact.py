@@ -3,7 +3,9 @@
 Covers winner determination for a concrete profile, the exact probability that
 a winner exists under a culture (an order-by-order convolution over pairwise
 tally states), tie probabilities for even electorates, and the closed-form
-minimum winner probability attained by the cyclic culture.
+minimum winner probability attained by the cyclic culture. Binomial
+probabilities follow C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities" (2000).
 """
 
 from __future__ import annotations
@@ -14,12 +16,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .core import Method, WinnerMode, WinnerProbability, pair_rows, winners_mask
 from .culture import Culture
 
 DEFAULT_COMPOSITION_BUDGET = 50_000_000
+
+# Stirling's error log n! - (n + 1/2) log n + n - log sqrt(2 pi) for n = 0..15 (0 is unused).
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -167,7 +176,7 @@ def exact_winner_probability(
     state packs the voters placed and the tallies of the pairs of
     :func:`_tally_basis` as base-(n+1) digits into one unsigned integer. The
     value is the winning mass over ``detail["total_mass"]``, so the weights'
-    log-gamma rounding cancels; it is deterministic and bit-identical across runs.
+    log-factorial rounding cancels; it is deterministic and bit-identical across runs.
 
     Raises
     ------
@@ -197,8 +206,10 @@ def exact_winner_probability(
     # Order j's share of the probability of orders j, j + 1, ... (the last order needs none).
     q = (probs / np.cumsum(probs[::-1])[::-1])[:-1, None]
     ramp = np.arange(n + 1 if s > 1 else 1)  # a single order needs no tables
-    log_fact = gammaln(ramp + 1)
-    log_k, log_rest = log_fact - xlogy(ramp, q), log_fact - xlog1py(ramp, -q)
+    log_fact = np.fromiter(map(math.lgamma, range(1, ramp.size + 1)), float, ramp.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # q can round to 1: log(1 - q) = -inf
+        k_log_rest = np.where(ramp > 0, ramp * np.log1p(-q), 0.0)  # 0 log 0 = 0
+    log_k, log_rest = log_fact - ramp * np.log(q), log_fact - k_log_rest
     # With s affinely independent orders no state is reached twice, so none merge.
     merge = _merge if digits < s else lambda keys, weights: (keys, weights)
     keys, weights = np.zeros(1, dtype=np.min_scalar_type(base**digits - 1)), np.ones(1)
@@ -235,40 +246,76 @@ def exact_winner_probability(
     return WinnerProbability(float(weights[exists].sum() / total), Method.EXACT, detail=detail)
 
 
+def _stirlerr(n: int) -> float:
+    """Stirling's error log n! - (n + 1/2) log n + n - log sqrt(2 pi), for n >= 1."""
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n  # the series 1/(12 n) - 1/(360 n^3) + 1/(1260 n^5) - 1/(1680 n^7) + 1/(1188 n^9)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, mean: float) -> float:
+    """x log(x / mean) + mean - x, by its series where x is near ``mean`` (no cancellation)."""
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    total, term = (x - mean) * v, 2.0 * x * v
+    for j in range(3, 1000, 2):
+        term *= v * v
+        if total + term / j == total:
+            break
+        total += term / j
+    return total
+
+
+def _dbinom(x: int, n: int, p: float) -> float:
+    """P(Bin(n, p) = x) for 0 < x <= n and 0 < p < 1, to full relative precision.
+
+    Loader's saddle-point form: the Stirling errors of n, x and n - x and the
+    deviances ``_bd0`` replace log-factorials that cancel to a few digits.
+    """
+    if x == n:
+        return p**n
+    lc = _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x) - _bd0(x, n * p) - _bd0(n - x, n * (1.0 - p))
+    return math.exp(lc) * math.sqrt(n / (2.0 * math.pi * x * (n - x)))
+
+
 def tie_probability(n: int, p_ij: float) -> float:
     """Probability of an exact pairwise tie among n voters.
 
-    Zero for odd n; for even n it is C(n, n/2) * (p(1-p))^(n/2), evaluated in
-    log space so large n does not overflow.
+    Zero for odd n; for even n it is C(n, n/2) * (p(1-p))^(n/2), the binomial
+    probability of n/2, computed by Loader's method so large n neither
+    overflows nor loses digits.
     """
     if n < 1:
         raise ValueError(f"voter count must be >= 1, got {n}")
     if not 0.0 <= p_ij <= 1.0:
         raise ValueError(f"probability out of range: {p_ij!r}")
-    if n % 2 == 1:
+    if n % 2 == 1 or p_ij in (0.0, 1.0):
         return 0.0
-    q = p_ij * (1.0 - p_ij)
-    if q == 0.0:
-        return 0.0
-    half = n // 2
-    log_choose = math.lgamma(n + 1) - 2.0 * math.lgamma(half + 1)
-    return math.exp(log_choose + half * math.log(q))
+    return _dbinom(n // 2, n, p_ij)
 
 
 def minimum_winner_probability(m: int, n: int) -> float:
     """Smallest winner probability over all cultures with m candidates, n voters.
 
-    Equals m * (1 - B(k; n, 1/m)) with the binomial CDF B, k = (n-1)/2 for odd
-    n and k = n/2 for even n; attained by the cyclic culture. Computed through
-    the regularized incomplete beta function, stable for large n.
+    Equals m * P(Bin(n, 1/m) > k) with k = (n-1)/2 for odd n and k = n/2 for
+    even n; attained by the cyclic culture. The tail starts from Loader's
+    binomial term at k + 1 and runs down the decreasing terms by their ratio
+    (n - j) / (j + 1) * p / (1 - p) until they fall below 1e-17 of the first;
+    it is within 1e-11 relative of the regularized incomplete beta I_p(k+1, n-k).
+    The range rule is that of WinnerProbability.
     """
     if m < 2:
         raise ValueError(f"candidate count must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"voter count must be >= 1, got {n}")
-    k = (n - 1) // 2 if n % 2 == 1 else n // 2
-    # 1 - B(k; n, p) = I_p(k+1, n-k), the regularized incomplete beta.
-    return m * float(betainc(k + 1, n - k, 1.0 / m))
+    p, j = 1.0 / m, n // 2 + 1
+    terms = [_dbinom(j, n, p)]
+    while j < n and terms[-1] > 1e-17 * terms[0]:
+        terms.append(terms[-1] * (n - j) / (j + 1) * p / (1.0 - p))
+        j += 1
+    return WinnerProbability(m * math.fsum(terms), Method.EXACT).value
 
 
 def minimum_table(ms: list[int], ns: list[int]) -> list[tuple[int, int, float]]:

