@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Method, WinnerMode, WinnerProbability, pair_rows, winners_mask
+from .core import Method, WinnerMode, WinnerProbability, count_argument, pair_rows, winners_mask
 from .culture import Culture
 
 DEFAULT_COMPOSITION_BUDGET = 50_000_000
@@ -185,8 +185,7 @@ def exact_winner_probability(
         (fewer than twice that many states are visited), or if a state needs
         more than 63 bits.
     """
-    if n < 1:
-        raise ValueError(f"voter count must be >= 1, got {n}")
+    n = count_argument(n, "voter count")
     support = culture.support()
     s = len(support)
     n_compositions = math.comb(n + s - 1, s - 1)

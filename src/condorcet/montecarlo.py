@@ -6,8 +6,11 @@ are drawn over the culture's support only, by one PCG64 stream seeded from
 ``[seed, 0]``, so an estimate depends only on (seed, trials) and is bit-exact
 across runs. With at least as many voters as supported orders, a profile is
 one multinomial vector of vote counts; with fewer, each voter's order is drawn
-on its own. Either way a chunk holds about 2**20 vote counts or voter choices,
-so memory stays bounded at any trial count or m.
+on its own, through a guide table (C. Chen and R. Asau, "On generating random
+variates from an empirical distribution", AIIE Trans. 6, 1974) that returns
+the same indices as ``Generator.choice`` from the same uniforms. Either way a
+chunk holds about 2**20 vote counts or voter choices, so memory stays bounded
+at any trial count or m.
 """
 
 from __future__ import annotations
@@ -47,29 +50,65 @@ class McConfig:
         object.__setattr__(self, "seed", seed_argument(self.seed, "seed"))
 
 
+class _GuideTable:
+    """Index draws bit-identical to ``Generator.choice(s, shape, p=probs)``, without its search.
+
+    ``choice`` draws u = ``rng.random(shape)`` and returns
+    ``cdf.searchsorted(u, side="right")``, with ``cdf = probs.cumsum() / its
+    last entry``; ``lookup(rng.random(shape))`` returns the same indices. Each
+    u starts at the guide entry of its bucket b = floor(u K), K = 4 s: the
+    search's answer at the bucket's midpoint (b + 1/2) / K. One vectorised
+    test keeps each start i with ``cdf[i-1] <= u < cdf[i]``, which is exactly
+    the search's answer; only the other u go to the search, so no start can
+    make an index wrong. Building the table costs O(s + K).
+    """
+
+    def __init__(self, probs: np.ndarray) -> None:
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+        self.below = np.concatenate(([0.0], cdf[:-1]))  # cdf[i-1], and 0 for i = 0
+        self.buckets = 4 * cdf.size
+        # cdf[i] <= (b + 1/2) / K iff ceil(cdf[i] K - 1/2) <= b, so entry b counts those i.
+        edges = np.ceil(cdf * self.buckets - 0.5).astype(np.intp)
+        counts = np.bincount(edges, minlength=self.buckets + 1)
+        self.guide = np.minimum(counts.cumsum(), cdf.size - 1)
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """``cdf.searchsorted(u, side="right")`` for u in [0, 1)."""
+        idx = self.guide[(u * self.buckets).astype(np.intp)]
+        miss = (u < self.below[idx]) | (u >= self.cdf[idx])
+        idx[miss] = self.cdf.searchsorted(u[miss], side="right")
+        return idx
+
+
 def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerProbability:
     """Estimate the probability that a winner exists among n voters.
 
     Draws ``config.trials`` independent profiles over the s orders of the
     culture's support and reports the winning fraction with its binomial
     standard error. When n >= s a profile is a multinomial vector of s vote
-    counts; when n < s it is n voter choices, whose pair rows are summed one
-    voter at a time. The result depends only on (seed, trials), and each
-    chunk holds about 2**20 vote counts or voter choices whatever the trial
-    count or the number of orders.
+    counts; when n < s it is n voter choices, drawn through a guide table
+    with the indices ``Generator.choice`` would return, whose pair rows are
+    summed one voter at a time. The result depends only on (seed, trials),
+    and each chunk holds about 2**20 vote counts or voter choices whatever
+    the trial count or the number of orders. ``n`` must be an int in
+    [1, 2**63), numpy integers included; bools and floats raise ValueError.
     """
-    if n < 1:
-        raise ValueError(f"voter count must be >= 1, got {n}")
+    n = count_argument(n, "voter count")
+    if n >= 2**63:  # numpy's multinomial takes a C long
+        raise ValueError(f"voter count must be below 2**63, got {n}")
     support = culture.support()
     s = len(support)
     probs = culture.probs[support]
     rows = pair_rows(culture.m).T[support].astype(np.int64)  # (s, P)
     threshold = config.mode.margin_threshold
+    guide = _GuideTable(probs) if n < s else None
 
     def hits(rng: np.random.Generator, size: int) -> int:
-        if n < s:
+        if guide is not None:
             margins = np.zeros((size, rows.shape[1]), dtype=np.int64)
-            for column in rng.choice(s, size=(size, n), p=probs).T:
+            for column in guide.lookup(rng.random((size, n))).T:
                 margins += rows[column]
         else:
             margins = rng.multinomial(n, probs, size=size) @ rows

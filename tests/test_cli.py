@@ -293,6 +293,15 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_voter_count_beyond_a_c_long_is_exit_2(self, capsys):
+        argv = ("mc", "--culture", "ic", "--m", "3", "--n", "99999999999999999999", "--trials", "10")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "condorcet: voter count must be below 2**63, got 99999999999999999999"
+        ]
+
     def test_reversed_range_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["mc", "--culture", "ic", "--m", "3", "--n", "3,10-5", "--trials", "10"])

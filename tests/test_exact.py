@@ -309,8 +309,19 @@ class TestExactWinnerProbability:
             exact_winner_probability(impartial_culture(3), 10, budget=100)
 
     def test_bad_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^voter count must be >= 1, got 0$"):
             exact_winner_probability(impartial_culture(3), 0)
+
+    @pytest.mark.parametrize(
+        "n", [5.0, True, np.float64(5.0), "5"], ids=["float", "bool", "numpy-float", "str"]
+    )
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="voter count must be an integer"):
+            exact_winner_probability(impartial_culture(3), n)
+
+    def test_numpy_integer_n_accepted(self):
+        c = impartial_culture(3)
+        assert exact_winner_probability(c, np.int64(5)) == exact_winner_probability(c, 5)
 
     def test_degenerate_culture(self):
         p = np.zeros(6)

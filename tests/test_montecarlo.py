@@ -19,7 +19,7 @@ from condorcet import (
     orthant_mc,
     save_culture,
 )
-from condorcet import core
+from condorcet import core, montecarlo
 from conftest import random_culture, random_dual_culture
 
 
@@ -79,6 +79,49 @@ class TestDeterminism:
         weights = np.arange(1, 25) % 3 + 1
         dense = Culture(4, weights / weights.sum())
         assert mc_winner_probability(dense, 101, McConfig(20_000, seed=3)).value == 0.82915
+
+    def test_voter_stream_is_pinned(self):
+        # With n < s each voter's order is drawn on its own, as Generator.choice
+        # draws it; these values pin that stream, which the mc-wide workload uses.
+        assert mc_winner_probability(impartial_culture(6), 101, McConfig(2_000, 1)).value == 0.679
+        sparse = sparse_culture(8, 60, seed=8)
+        assert mc_winner_probability(sparse, 31, McConfig(3_000, 2)).value == 0.549
+        weak = McConfig(20_000, 3, WinnerMode.WEAK)
+        assert mc_winner_probability(impartial_culture(4), 10, weak).value == 0.9734
+
+
+def _test_probs(kind: str, s: int) -> np.ndarray:
+    rng = np.random.default_rng(s)
+    if kind == "uniform":
+        return np.full(s, 1.0 / s)
+    if kind == "spike":  # one order at about 1, the rest at 1e-12
+        probs = np.full(s, 1e-12)
+        probs[s // 3] = 1.0 - (s - 1) * 1e-12
+        return probs
+    return rng.dirichlet(np.full(s, {"dirichlet-1": 1.0, "dirichlet-0.05": 0.05}[kind]))
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("s", [2, 24, 720, 5040, 40320])
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet-1", "dirichlet-0.05", "spike"])
+    def test_draws_equal_choice(self, kind, s):
+        probs = _test_probs(kind, s)
+        table = montecarlo._GuideTable(probs)
+        for seed, shape in [(0, (1,)), (1, (7, 3)), (2, (300, 40)), (3, (2, 5000))]:
+            expected = np.random.default_rng(seed).choice(s, shape, p=probs)
+            drawn = table.lookup(np.random.default_rng(seed).random(shape))
+            assert drawn.shape == shape
+            assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("s", [2, 24, 720, 5040, 40320])
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet-1", "dirichlet-0.05", "spike"])
+    def test_lookup_equals_search_at_every_edge(self, kind, s):
+        table = montecarlo._GuideTable(_test_probs(kind, s))
+        k = table.buckets
+        points = np.concatenate((table.cdf, np.arange(k + 1) / k, [0.0, 1.0 - 2.0**-53]))
+        u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(table.lookup(u), table.cdf.searchsorted(u, side="right"))
 
 
 class TestEstimates:
@@ -188,6 +231,21 @@ class TestConvergenceSweep:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "n", [5.0, True, np.float64(5.0), "5"], ids=["float", "bool", "numpy-float", "str"]
+    )
+    def test_voter_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="voter count must be an integer"):
+            mc_winner_probability(impartial_culture(3), n, McConfig(trials=10))
+
+    def test_voter_count_range(self):
+        c = impartial_culture(3)
+        with pytest.raises(ValueError, match=r"^voter count must be >= 1, got 0$"):
+            mc_winner_probability(c, 0, McConfig(trials=10))
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            mc_winner_probability(c, 2**63, McConfig(trials=10))
+        assert mc_winner_probability(c, np.int64(2**63 - 1), McConfig(trials=10)).stderr >= 0.0
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
