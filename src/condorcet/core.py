@@ -113,7 +113,12 @@ def split_candidate(signs) -> tuple[float | None, list[int]]:
     return (None if kept else 1.0), kept
 
 
-def _integer_argument(value, name: str, low: int, high: float, rule: str) -> int:
+def integer_argument(value, name: str, low: int, high: float, rule: str) -> int:
+    """``value`` as an int in [low, high), numpy integers too; else a ValueError.
+
+    Bools and floats are not integers here; an out-of-range value's message
+    says it must be ``rule``.
+    """
     try:
         number = operator.index(value)
     except TypeError:
@@ -127,12 +132,12 @@ def _integer_argument(value, name: str, low: int, high: float, rule: str) -> int
 
 def count_argument(value, name: str) -> int:
     """``value`` as a positive int (numpy integers too; not bools or floats), else a ValueError."""
-    return _integer_argument(value, name, 1, math.inf, ">= 1")
+    return integer_argument(value, name, 1, math.inf, ">= 1")
 
 
 def seed_argument(value, name: str) -> int:
     """``value`` as an int in [0, 2**64), else a ValueError; as :func:`count_argument`."""
-    return _integer_argument(value, name, 0, 2**64, "an unsigned 64-bit integer")
+    return integer_argument(value, name, 0, 2**64, "an unsigned 64-bit integer")
 
 
 def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) -> tuple[float, float]:

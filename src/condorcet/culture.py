@@ -123,10 +123,11 @@ def pair_sign_matrix(m: int) -> np.ndarray:
     -1 when below, and 0 on the diagonal i == j. Shared by every computation
     that turns vote counts or probabilities into pairwise margins.
     """
-    orders = np.array(enumerate_rank_orders(m), dtype=np.int64)
-    positions = np.argsort(orders, axis=1)  # positions[k, c] = rank of candidate c
+    # int8 throughout (ranks < 8, differences in [-7, 7]): int64 would take 20 MB per array at m=8.
+    orders = np.array(enumerate_rank_orders(m), dtype=np.int8)
+    positions = np.argsort(orders, axis=1).astype(np.int8)  # positions[k, c] = rank of candidate c
     diff = positions[:, None, :] - positions[:, :, None]  # [k, i, j] = pos(j) - pos(i)
-    signs = np.sign(diff).astype(np.int8).transpose(1, 2, 0)
+    signs = np.sign(diff).transpose(1, 2, 0)
     signs.flags.writeable = False
     return signs
 

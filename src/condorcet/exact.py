@@ -17,7 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Method, WinnerMode, WinnerProbability, count_argument, pair_rows, winners_mask
+from .core import (
+    Method,
+    WinnerMode,
+    WinnerProbability,
+    count_argument,
+    integer_argument,
+    pair_rows,
+    winners_mask,
+)
 from .culture import Culture
 
 DEFAULT_COMPOSITION_BUDGET = 50_000_000
@@ -284,10 +292,9 @@ def tie_probability(n: int, p_ij: float) -> float:
 
     Zero for odd n; for even n it is C(n, n/2) * (p(1-p))^(n/2), the binomial
     probability of n/2, computed by Loader's method so large n neither
-    overflows nor loses digits.
+    overflows nor loses digits. ``n`` must be a positive int.
     """
-    if n < 1:
-        raise ValueError(f"voter count must be >= 1, got {n}")
+    n = count_argument(n, "voter count")
     if not 0.0 <= p_ij <= 1.0:
         raise ValueError(f"probability out of range: {p_ij!r}")
     if n % 2 == 1 or p_ij in (0.0, 1.0):
@@ -303,12 +310,11 @@ def minimum_winner_probability(m: int, n: int) -> float:
     binomial term at k + 1 and runs down the decreasing terms by their ratio
     (n - j) / (j + 1) * p / (1 - p) until they fall below 1e-17 of the first;
     it is within 1e-11 relative of the regularized incomplete beta I_p(k+1, n-k).
-    The range rule is that of WinnerProbability.
+    The range rule is that of WinnerProbability. ``m`` must be an int >= 2 and
+    ``n`` a positive int; bools and floats raise ValueError.
     """
-    if m < 2:
-        raise ValueError(f"candidate count must be >= 2, got {m}")
-    if n < 1:
-        raise ValueError(f"voter count must be >= 1, got {n}")
+    m = integer_argument(m, "candidate count", 2, math.inf, ">= 2")
+    n = count_argument(n, "voter count")
     p, j = 1.0 / m, n // 2 + 1
     terms = [_dbinom(j, n, p)]
     while j < n and terms[-1] > 1e-17 * terms[0]:

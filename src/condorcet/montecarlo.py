@@ -8,9 +8,12 @@ across runs. With at least as many voters as supported orders, a profile is
 one multinomial vector of vote counts; with fewer, each voter's order is drawn
 on its own, through a guide table (C. Chen and R. Asau, "On generating random
 variates from an empirical distribution", AIIE Trans. 6, 1974) that returns
-the same indices as ``Generator.choice`` from the same uniforms. Either way a
-chunk holds about 2**20 vote counts or voter choices, so memory stays bounded
-at any trial count or m.
+the same indices as ``Generator.choice`` from the same uniforms, and the
+voters' pair wins are counted in packed lanes: one uint8 lane per pair (uint16
+from 256 voters on) in 64-bit words, summed a word at a time over all voters.
+A lane's count is at most n < s <= 8! < 2**16, so it never carries into its
+neighbour. Either way a chunk holds about 2**20 vote counts or voter choices,
+so memory stays bounded at any trial count or m.
 """
 
 from __future__ import annotations
@@ -82,6 +85,32 @@ class _GuideTable:
         return idx
 
 
+class _WinLanes:
+    """Pair margins of n voter choices, counted in packed lanes of 64-bit words.
+
+    Order i's bit for pair p (1 when it ranks the pair's first candidate
+    higher) sits in lane p of its row, one uint8 lane per pair, or one uint16
+    lane when n >= 256, padded to W whole uint64 words. ``words[w]`` holds
+    word w of every order, so one gather and one row sum per word add up the
+    wins of all n voters of a trial. A lane's count is at most n, and n < s
+    <= 8! < 2**16 here, so no count carries into the next lane.
+    """
+
+    def __init__(self, m: int, support: np.ndarray, n: int) -> None:
+        bits = pair_rows(m).T[support] > 0  # (s, P)
+        self.lane = np.dtype(np.uint8 if n < 256 else np.uint16)
+        self.pairs, self.n = bits.shape[1], n
+        per_word = 8 // self.lane.itemsize
+        packed = np.zeros((len(support), -(-self.pairs // per_word) * per_word), self.lane)
+        packed[:, : self.pairs] = bits
+        self.words = packed.view(np.uint64).T.copy()  # (W, s)
+
+    def margins(self, idx: np.ndarray) -> np.ndarray:
+        """(k, P) int64 margins of the k trials whose (k, n) voter order indices are ``idx``."""
+        wins = np.stack([word[idx].sum(axis=1) for word in self.words], axis=1)
+        return 2 * wins.view(self.lane)[:, : self.pairs].astype(np.int64) - self.n
+
+
 def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerProbability:
     """Estimate the probability that a winner exists among n voters.
 
@@ -89,8 +118,8 @@ def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerP
     culture's support and reports the winning fraction with its binomial
     standard error. When n >= s a profile is a multinomial vector of s vote
     counts; when n < s it is n voter choices, drawn through a guide table
-    with the indices ``Generator.choice`` would return, whose pair rows are
-    summed one voter at a time. The result depends only on (seed, trials),
+    with the indices ``Generator.choice`` would return, whose pair wins are
+    counted in packed lanes. The result depends only on (seed, trials),
     and each chunk holds about 2**20 vote counts or voter choices whatever
     the trial count or the number of orders. ``n`` must be an int in
     [1, 2**63), numpy integers included; bools and floats raise ValueError.
@@ -101,18 +130,21 @@ def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerP
     support = culture.support()
     s = len(support)
     probs = culture.probs[support]
-    rows = pair_rows(culture.m).T[support].astype(np.int64)  # (s, P)
     threshold = config.mode.margin_threshold
-    guide = _GuideTable(probs) if n < s else None
+    if n < s:
+        guide, lanes = _GuideTable(probs), _WinLanes(culture.m, support, n)
+
+        def margins(rng: np.random.Generator, size: int) -> np.ndarray:
+            return lanes.margins(guide.lookup(rng.random((size, n))))
+    else:
+        rows = pair_rows(culture.m).T[support].astype(np.int64)  # (s, P)
+
+        def margins(rng: np.random.Generator, size: int) -> np.ndarray:
+            return rng.multinomial(n, probs, size=size) @ rows
 
     def hits(rng: np.random.Generator, size: int) -> int:
-        if guide is not None:
-            margins = np.zeros((size, rows.shape[1]), dtype=np.int64)
-            for column in guide.lookup(rng.random((size, n))).T:
-                margins += rows[column]
-        else:
-            margins = rng.multinomial(n, probs, size=size) @ rows
-        return int(np.count_nonzero(winners_mask(margins, culture.m, threshold).any(axis=0)))
+        mask = winners_mask(margins(rng, size), culture.m, threshold)
+        return int(np.count_nonzero(mask.any(axis=0)))
 
     value, stderr = seeded_fraction([config.seed, 0], config.trials, min(n, s), hits)
     detail = {"trials": config.trials, "seed": config.seed}

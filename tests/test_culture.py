@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from condorcet import (
     pairwise_win_probability,
     preference_sign,
 )
+from condorcet.culture import pair_sign_matrix
 from conftest import random_culture
 
 
@@ -130,6 +132,19 @@ class TestPreferenceSigns:
                 preference_sign(o, i, j) == 1 for o in enumerate_rank_orders(m)
             )
             assert positives == math.factorial(m) // 2
+
+
+    def test_sign_tensor_peak_memory_at_m8(self):
+        # 8 * 8 * 8! signs are 2.6 MB as int8; one int64 intermediate would be 20 MB.
+        enumerate_rank_orders(8)  # cached order tuples are not part of the build
+        tracemalloc.start()
+        try:
+            signs = pair_sign_matrix.__wrapped__(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert signs.dtype == np.int8 and signs.shape == (8, 8, 40320)
+        assert peak < 12 * 2**20
 
 
 class TestJointSign:

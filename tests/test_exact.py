@@ -429,6 +429,16 @@ class TestMinimumWinnerProbability:
         assert p == pytest.approx(0.7778, abs=5e-5)
 
 
+@pytest.mark.parametrize("bad", [True, 4.0, 0, -1])
+def test_counts_must_be_integers_in_range(bad):
+    with pytest.raises(ValueError, match="voter count"):
+        tie_probability(bad, 0.5)
+    with pytest.raises(ValueError, match="voter count"):
+        minimum_winner_probability(3, bad)
+    with pytest.raises(ValueError, match="candidate count"):
+        minimum_winner_probability(bad, 5)
+
+
 class TestVoterProfile:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,7 @@ class TestDeterminism:
         assert mc_winner_probability(sparse, 31, McConfig(3_000, 2)).value == 0.549
         weak = McConfig(20_000, 3, WinnerMode.WEAK)
         assert mc_winner_probability(impartial_culture(4), 10, weak).value == 0.9734
+        assert mc_winner_probability(impartial_culture(6), 257, McConfig(500, 1)).value == 0.67
 
 
 def _test_probs(kind: str, s: int) -> np.ndarray:
@@ -122,6 +123,36 @@ class TestGuideTable:
         u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
         u = u[(u >= 0.0) & (u < 1.0)]
         assert np.array_equal(table.lookup(u), table.cdf.searchsorted(u, side="right"))
+
+
+def unanimous_pair_culture(m: int, size: int, seed: int) -> Culture:
+    """A culture on ``size`` random orders, all of which rank candidate 0 above candidate 1."""
+    rng = np.random.default_rng(seed)
+    above = np.flatnonzero(core.pair_rows(m)[0] > 0)
+    probs = np.zeros(math.factorial(m))
+    probs[rng.choice(above, size, replace=False)] = rng.dirichlet(np.ones(size))
+    return Culture(m, probs)
+
+
+class TestWinLanes:
+    # Every voter of the sparse cultures wins pair (0, 1), so at n = 256 that
+    # count is the first one a uint8 lane cannot hold.
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    @pytest.mark.parametrize("kind", ["uniform", "sparse"])
+    def test_margins_equal_summed_pair_rows(self, kind, m):
+        culture = impartial_culture(m) if kind == "uniform" else unanimous_pair_culture(m, 300, m)
+        support = culture.support()
+        s, rows = len(support), core.pair_rows(m).T[support]
+        for n in (255, 256, s - 1):
+            trials = max(4, 20_000 // n)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([n, 0])))
+            idx = rng.choice(s, (trials, n), p=culture.probs[support])
+            expected = rows[idx].sum(axis=1)
+            assert np.array_equal(montecarlo._WinLanes(m, support, n).margins(idx), expected)
+            for mode in WinnerMode:
+                wins = core.winners_mask(expected, m, mode.margin_threshold).any(axis=0)
+                r = mc_winner_probability(culture, n, McConfig(trials, seed=n, mode=mode))
+                assert r.value == np.count_nonzero(wins) / trials
 
 
 class TestEstimates:
