@@ -15,13 +15,14 @@ Three per-voter quantities drive the computation:
   candidates.
 
 One pass per culture turns these into the per-candidate decomposition: each
-candidate's term is either forced to 0 or 1 by its infinite thresholds, or is
-the orthant probability of the correlation matrix of its balanced rivals. The
-limit is the sum of the terms: closed forms where they exist, and for the rest
-one shared Monte Carlo draw of their balanced margins. For three candidates the
-27 sign patterns of the margins reduce to a fixed table of closed forms
-(``TABLE1``); ``classify_m3`` evaluates a row's stored formula from the same
-pass, and ``audit_table1`` checks every row against an independent Monte Carlo
+candidate's term is forced to 0 or 1 by its infinite thresholds, or is the
+orthant probability of its balanced rivals' margins, whose correlation matrix
+is a signed slice of the one matrix of the culture's balanced pairs. The limit
+is the sum of the terms: closed forms where they exist, and for the rest one
+Monte Carlo draw of their pairs. For three candidates the 27 sign patterns of
+the margins reduce to a fixed table of closed forms (``TABLE1``);
+``classify_m3`` evaluates a row's stored formula from the same pass, and
+``audit_table1`` checks every row against an independent Monte Carlo
 evaluation of the decomposition.
 
 The module also provides the impartial-culture (uniform) limit: the printed
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_SEED, Method, WinnerProbability, count_argument, pair_rows, seed_argument, split_candidate
-from .culture import Culture, pair_sign_matrix
+from .core import DEFAULT_SEED, Method, WinnerProbability, count_argument, seed_argument, split_candidate
+from .culture import Culture, pair_signs
 from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, gauss_legendre, orthant_mc, orthant_zero_probability, orthants_mc
 
 _TWO_PI = 2.0 * math.pi
@@ -60,10 +62,20 @@ class DegenerateVarianceError(ValueError):
     """
 
 
+@lru_cache(maxsize=None)
+def _pair_index(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """The upper triangle, in ``pair_signs`` column order, and (m, m) maps of column {i, j} and sign(j - i)."""
+    upper = np.triu_indices(m, 1)
+    columns = np.zeros((m, m), dtype=np.intp)
+    columns[upper] = np.arange(upper[0].size)
+    return upper, columns + columns.T, np.sign(np.subtract.outer(range(m), range(m))) * -1.0
+
+
 def lambda_matrix(culture: Culture) -> np.ndarray:
     """Expected pairwise margins: entry [i, j] = 2 p_ij - 1, antisymmetric."""
-    signs = pair_sign_matrix(culture.m).astype(float)
-    return signs @ culture.probs
+    lam = np.zeros((culture.m, culture.m))
+    lam[_pair_index(culture.m)[0]] = culture.probs @ pair_signs(culture.m)
+    return lam - lam.T
 
 
 def _margin_signs(lam: np.ndarray, tol: float) -> list[list[int]]:
@@ -88,28 +100,29 @@ def classify_deltas(lam: np.ndarray, tol: float = DELTA_SIGN_TOL) -> dict[tuple[
     return {(i, j): _THRESHOLDS[signs[i][j]] for i in range(m) for j in range(m) if i != j}
 
 
-def _rivals(m: int, i: int) -> list[int]:
-    return [j for j in range(m) if j != i]
+@lru_cache(maxsize=None)
+def _rivals(m: int, i: int) -> tuple[int, ...]:
+    return tuple(j for j in range(m) if j != i)
 
 
 def _correlation_submatrix(culture: Culture, first, second, lam: np.ndarray) -> np.ndarray:
     """Correlation matrix of the margins of the pairs (first, second), indices broadcast.
 
     Entry (p, q) is (E[s_p s_q] - lam_p lam_q) / sqrt((1 - lam_p^2)(1 - lam_q^2))
-    where s_ab is the voter's +/-1 preference between a and b. Raises
+    where s_ab is the voter's +/-1 preference between a and b: the sign table's
+    column of the pair {a, b}, negated where a > b. Raises
     :class:`DegenerateVarianceError` when a listed margin is +/-1 within 1e-12.
     """
     lam_row = lam[first, second]
     degenerate = np.abs(lam_row) >= 1.0 - DEGENERATE_MARGIN_TOL
     if degenerate.any():
-        raise DegenerateVarianceError(
-            f"margin of candidate {first} against {np.asarray(second)[degenerate].tolist()} is +/-1; "
-            "the correlation entry is undefined"
-        )
-    rows = pair_sign_matrix(culture.m)[first, second, :].astype(float)  # (pairs, K)
+        pairs = np.transpose(np.broadcast_arrays(first, second))[degenerate].tolist()
+        raise DegenerateVarianceError(f"margins of the pairs {pairs} are +/-1; the correlation entry is undefined")
+    _, columns, orientation = _pair_index(culture.m)
+    rows = pair_signs(culture.m).T[columns[first, second]] * orientation[first, second][:, None]  # (pairs, K)
     second_moment = (rows * culture.probs) @ rows.T
     sd = np.sqrt(1.0 - lam_row**2)
-    r = (second_moment - np.outer(lam_row, lam_row)) / np.outer(sd, sd)
+    r = (second_moment - lam_row[:, None] * lam_row) / (sd[:, None] * sd)
     r = (r + r.T) / 2.0
     np.fill_diagonal(r, 1.0)
     return r
@@ -128,22 +141,28 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     return _correlation_submatrix(culture, i, _rivals(culture.m, i), lambda_matrix(culture))
 
 
-def _decomposition(culture: Culture, tol: float) -> tuple[np.ndarray, list[list[int]], list[tuple]]:
-    """The margins, their signs and, per candidate, (forced term, None) or (None, R).
+def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[tuple], np.ndarray | None]:
+    """The margin signs, per candidate (forced term, R, coordinates), and the joint matrix.
 
-    The forced term is 0 or 1; R is the correlation matrix of the balanced rivals.
+    The joint matrix correlates every balanced pair (a, b), a < b, of the candidates whose term is
+    not forced to 0 or 1. Their coordinates are (joint row, -1 if the candidate is b else 1) per
+    balanced rival, and R is the joint matrix at those rows, signs applied; else [] and None.
     """
     lam = lambda_matrix(culture)
     signs = _margin_signs(lam, tol)
+    split = [split_candidate([signs[i][j] for j in _rivals(culture.m, i)]) for i in range(culture.m)]
+    balanced = [[_rivals(culture.m, i)[k] for k in kept] for i, (_, kept) in enumerate(split)]
+    pairs = sorted({(min(i, j), max(i, j)) for i in range(culture.m) for j in balanced[i]})
+    joint = _correlation_submatrix(culture, *np.array(pairs).T, lam) if pairs else None
     parts = []
-    for i in range(culture.m):
-        rivals = _rivals(culture.m, i)
-        forced, kept = split_candidate([signs[i][j] for j in rivals])
+    for i, (forced, _) in enumerate(split):
+        coordinates = [(pairs.index((min(i, j), max(i, j))), 1 if i < j else -1) for j in balanced[i]]
         sub = None
-        if forced is None:
-            sub = _correlation_submatrix(culture, i, [rivals[k] for k in kept], lam)
-        parts.append((forced, sub))
-    return lam, signs, parts
+        if coordinates:
+            at, flips = np.array(coordinates).T
+            sub = joint[at[:, None], at] * (flips[:, None] * flips)
+        parts.append((forced, sub, coordinates))
+    return signs, parts, joint
 
 
 def limiting_probability(
@@ -158,9 +177,9 @@ def limiting_probability(
     standardized margin vector with thresholds from the margin signs. Pairs
     with margin +/-1 never touch a correlation entry: their thresholds are
     +/-inf, so the coordinate is dropped (or the whole term is zero) before
-    any submatrix is built. Terms without a closed form read one shared draw
-    seeded by ``mc_seed``. The stderr is the root sum of squares of theirs,
-    None without one; the terms are exclusive events, so it is conservative.
+    any submatrix is built. Terms without a closed form read one draw of their
+    pairs' margins, seeded by ``mc_seed``. The stderr is the root sum of squares
+    of theirs, None without one; the terms are exclusive events, so it is conservative.
     The value is the unclamped sum of the terms, held to WinnerProbability's range.
 
     The returned detail carries the per-candidate terms; ``detail["case"]``
@@ -168,22 +187,20 @@ def limiting_probability(
     """
     mc_samples = count_argument(mc_samples, "mc_samples")
     mc_seed = seed_argument(mc_seed, "mc_seed")
-    lam, signs, parts = _decomposition(culture, tol)
-    evaluated = [(forced, None, "exact") if sub is None else closed_orthant(sub) for forced, sub in parts]
+    signs, parts, joint = _decomposition(culture, tol)
+    evaluated = [(forced, None, "exact") if sub is None else closed_orthant(sub) for forced, sub, _ in parts]
     sampled = [i for i, term in enumerate(evaluated) if term is None]
-    estimates = _shared_draw(culture, lam, signs, sampled, mc_samples, mc_seed) if sampled else []
-    for i, estimate in zip(sampled, estimates):
-        evaluated[i] = (*estimate, "monte-carlo")
-    terms = []
-    for i, ((_, sub), (value, stderr, method)) in enumerate(zip(parts, evaluated)):
-        terms.append({
-            "candidate": i,
-            "deltas": [_THRESHOLD_LABELS[signs[i][j]] for j in _rivals(culture.m, i)],
-            "correlation": None if sub is None else sub.tolist(),
-            "L": float(value),
-            "method": method,
-            "stderr": stderr,
-        })
+    if sampled:  # one draw of the joint matrix's rows that the sampled terms read
+        rows = sorted({q for i in sampled for q, _ in parts[i][2]})
+        groups = [[(rows.index(q), sign) for q, sign in parts[i][2]] for i in sampled]
+        estimates = orthants_mc(joint[np.ix_(rows, rows)], groups, mc_samples, mc_seed)
+        for i, estimate in zip(sampled, estimates):
+            evaluated[i] = (*estimate, "monte-carlo")
+    terms = [
+        {"candidate": i, "deltas": [_THRESHOLD_LABELS[signs[i][j]] for j in _rivals(culture.m, i)],
+         "correlation": None if sub is None else sub.tolist(), "L": float(value), "method": method, "stderr": stderr}
+        for i, ((_, sub, _), (value, stderr, method)) in enumerate(zip(parts, evaluated))
+    ]
     total = math.fsum(t["L"] for t in terms)
     variances = [t["stderr"] ** 2 for t in terms if t["method"] == "monte-carlo"]
     stderr = math.sqrt(math.fsum(variances)) if variances else None
@@ -191,19 +208,6 @@ def limiting_probability(
     if culture.m == 3:
         detail["case"] = _table1_row(signs).number
     return WinnerProbability(total, Method.LIMIT, stderr, detail)
-
-
-def _shared_draw(culture: Culture, lam, signs, candidates, samples, seed) -> list[tuple[float, float]]:
-    """Monte Carlo terms of ``candidates`` from one draw of their balanced pairs' margins.
-
-    Pairs (a, b) have a < b; candidate i reads rival j's at sign +1 if i < j, else -1.
-    """
-    signed_pairs = [[(min(i, j), max(i, j), 1 if i < j else -1) for j in _rivals(culture.m, i)
-                     if signs[i][j] == 0] for i in candidates]
-    pairs = sorted({(a, b) for group in signed_pairs for a, b, _ in group})
-    r = _correlation_submatrix(culture, *np.array(pairs).T, lam)
-    groups = [[(pairs.index((a, b)), s) for a, b, s in group] for group in signed_pairs]
-    return orthants_mc(r, groups, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +284,14 @@ def classify_m3(culture: Culture, tol: float = DELTA_SIGN_TOL) -> tuple[int, flo
     """
     if culture.m != 3:
         raise ValueError(f"classification table applies to m=3, got m={culture.m}")
-    return _table1_value(*_decomposition(culture, tol)[1:])
+    return _table1_value(*_decomposition(culture, tol)[:2])
 
 
 def _table1_value(signs: list[list[int]], parts: list) -> tuple[int, float]:
     """Table row and stored-formula value of a three-candidate :func:`_decomposition`."""
     row = _table1_row(signs)
     if row.kind == "sum3":
-        value = math.fsum(0.25 + math.asin(float(sub[0, 1])) / _TWO_PI for _, sub in parts)
+        value = math.fsum(0.25 + math.asin(float(sub[0, 1])) / _TWO_PI for _, sub, _ in parts)
     elif row.kind == "arcsin":
         entry = float(parts[row.arcsin_candidate][1][0, 1])
         value = 0.75 + math.asin(entry) / _TWO_PI
@@ -310,7 +314,7 @@ def sign_pattern_culture(signs: tuple[int, int, int], magnitude: float = 0.12) -
     if len(signs) != 3 or any(s not in (-1, 0, 1) for s in signs):
         raise ValueError(f"signs must be a triple over {{-1, 0, 1}}, got {signs!r}")
     target = magnitude * np.asarray(signs, dtype=float)
-    coeffs = pair_rows(3).astype(float)  # margins of pairs (0,1), (0,2), (1,2) per order
+    coeffs = pair_signs(3).T.astype(float)  # margins of pairs (0,1), (0,2), (1,2) per order
     gram = coeffs @ coeffs.T
     probs = np.full(6, 1.0 / 6.0) + coeffs.T @ np.linalg.solve(gram, target)
     if probs.min() <= 0.0:
@@ -365,7 +369,7 @@ def audit_table1(
     results = []
     for row in TABLE1:
         culture = sign_pattern_culture(row.signs, magnitude)
-        _, signs, parts = _decomposition(culture, DELTA_SIGN_TOL)
+        signs, parts, _ = _decomposition(culture, DELTA_SIGN_TOL)
         number, formula_value = _table1_value(signs, parts)
         if number != row.number:
             raise AssertionError(
@@ -373,7 +377,7 @@ def audit_table1(
             )
         draws = [
             (forced, 0.0) if sub is None else orthant_mc(sub, samples, seed=(seed, row.number, i))
-            for i, (forced, sub) in enumerate(parts)
+            for i, (forced, sub, _) in enumerate(parts)
         ]
         mc_total = sum(estimate for estimate, _ in draws)
         mc_stderr = math.sqrt(sum(stderr**2 for _, stderr in draws))

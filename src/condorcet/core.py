@@ -1,9 +1,9 @@
-"""The pairwise-margin layout, the per-candidate winner condition, the result type.
+"""The per-candidate winner condition, the result type and the argument checks.
 
-Exact enumeration, Monte Carlo and the large-electorate limit all work on the
-P = m(m-1)/2 signed margins of the pairs (i, j), i < j, in row-major order, and
-all ask whether a candidate wins every pairing. Both Monte Carlo estimators,
-of profiles and of normal orthants, draw through :func:`seeded_fraction`.
+All three methods work on the P = m(m-1)/2 signed margins of the pairs of
+``culture.candidate_pairs`` (the columns of ``culture.pair_signs``) and ask
+whether a candidate wins every pairing. Both Monte Carlo estimators, of
+profiles and of normal orthants, draw through :func:`seeded_fraction`.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .culture import pair_sign_matrix
+from .culture import candidate_pairs
 
 _CHUNK_CELLS = 1 << 20  # values drawn per chunk, so memory grows with neither trials nor width
 DEFAULT_SEED = 0  # of every seeded estimate, in the library and on the command line
@@ -67,32 +66,15 @@ class WinnerProbability:
         object.__setattr__(self, "value", min(max(v, 0.0), 1.0))
 
 
-@lru_cache(maxsize=None)
-def _pair_list(m: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
-
-
-@lru_cache(maxsize=None)
-def pair_rows(m: int) -> np.ndarray:
-    """Read-only (P, K) int8 array: +1 where order k ranks pair p's first candidate higher.
-
-    Pairs run (0, 1), (0, 2), ..., (m-2, m-1); other entries are -1. Cast to
-    int64 before scaling by vote counts: int8 overflows past 127.
-    """
-    rows = pair_sign_matrix(m)[np.triu_indices(m, 1)]
-    rows.flags.writeable = False
-    return rows
-
-
 def winners_mask(margins: np.ndarray, m: int, threshold: int) -> np.ndarray:
     """Which candidate wins every pairing, per profile: an (m, N) bool array.
 
-    ``margins`` is (N, P) in :func:`pair_rows` order, holding the signed
+    ``margins`` is (N, P) in ``candidate_pairs`` order, holding the signed
     margin of each pair's first candidate over its second. Candidate c wins
     when each of its margins is at least ``threshold``.
     """
     out = np.ones((m, margins.shape[0]), dtype=bool)
-    for col, (a, b) in enumerate(_pair_list(m)):
+    for col, (a, b) in enumerate(candidate_pairs(m)):
         column = margins[:, col]
         out[a] &= column >= threshold
         out[b] &= column <= -threshold

@@ -3,7 +3,9 @@
 Candidates are the integers 0..m-1. A rank order is a tuple of all m
 candidates, most preferred first, and the K = m! orders are indexed in
 lexicographic sequence. Every probability vector in this package is aligned
-with that canonical indexing (index 0 is always (0, 1, ..., m-1)).
+with that canonical indexing (index 0 is always (0, 1, ..., m-1)). Every
+method starts from one (K, P) table, each order's +/-1 preference on each
+pair of :func:`candidate_pairs` (:func:`pair_signs`).
 
 Cultures are validated strictly: entries must be finite, non-negative and sum
 to one within 1e-12. Inputs that fail are rejected, never renormalized, so data
@@ -116,18 +118,23 @@ def joint_preference_sign(order, i: int, j: int, l: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def pair_sign_matrix(m: int) -> np.ndarray:
-    """Signed preference tensor of shape (m, m, K).
+def candidate_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The P = m(m-1)/2 pairs (i, j), i < j, in row-major order: (0, 1), (0, 2), ..., (m-2, m-1)."""
+    return tuple((i, j) for i in range(m) for j in range(i + 1, m))
 
-    Entry [i, j, k] is +1 when rank order k puts candidate i above candidate j,
-    -1 when below, and 0 on the diagonal i == j. Shared by every computation
-    that turns vote counts or probabilities into pairwise margins.
+
+@lru_cache(maxsize=None)
+def pair_signs(m: int) -> np.ndarray:
+    """The (K, P) int8 sign table: [k, p] is +1 where order k ranks pair p's first candidate higher, else -1.
+
+    Pairs are those of :func:`candidate_pairs`. The table is cached, read-only
+    and C-contiguous; cast it to int64 before scaling by vote counts.
     """
-    # int8 throughout (ranks < 8, differences in [-7, 7]): int64 would take 20 MB per array at m=8.
-    orders = np.array(enumerate_rank_orders(m), dtype=np.int8)
-    positions = np.argsort(orders, axis=1).astype(np.int8)  # positions[k, c] = rank of candidate c
-    diff = positions[:, None, :] - positions[:, :, None]  # [k, i, j] = pos(j) - pos(i)
-    signs = np.sign(diff).transpose(1, 2, 0)
+    # int8 throughout: the m = 8 table is 1.1 MB, one int64 copy would be 9 MB.
+    first, second = np.array(candidate_pairs(m)).T
+    positions = np.argsort(np.array(enumerate_rank_orders(m), dtype=np.int8), axis=1).astype(np.int8)
+    above = np.take(positions, first, axis=1) < np.take(positions, second, axis=1)  # C-ordered, unlike [:, first]
+    signs = np.where(above, np.int8(1), np.int8(-1))
     signs.flags.writeable = False
     return signs
 
@@ -208,8 +215,8 @@ def pairwise_win_probability(culture: Culture, i: int, j: int) -> float:
         raise ValueError("candidates must be distinct")
     if not (0 <= i < culture.m and 0 <= j < culture.m):
         raise ValueError(f"candidate out of range for m={culture.m}: ({i}, {j})")
-    mask = pair_sign_matrix(culture.m)[i, j] > 0
-    return float(culture.probs[mask].sum())
+    column = pair_signs(culture.m)[:, candidate_pairs(culture.m).index((min(i, j), max(i, j)))]
+    return float(culture.probs[column > 0 if i < j else column < 0].sum())
 
 
 # ---------------------------------------------------------------------------

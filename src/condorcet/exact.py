@@ -23,10 +23,9 @@ from .core import (
     WinnerProbability,
     count_argument,
     integer_argument,
-    pair_rows,
     winners_mask,
 )
-from .culture import Culture
+from .culture import Culture, pair_signs
 
 DEFAULT_COMPOSITION_BUDGET = 50_000_000
 
@@ -45,18 +44,17 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class VoterProfile:
-    """Vote counts per rank order: counts[i] voters cast canonical order i."""
+    """Vote counts per rank order: counts[i] voters cast canonical order i, a non-negative integer."""
 
     m: int
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.counts, dtype=np.int64)
         k = math.factorial(self.m)
-        if c.shape != (k,):
-            raise ValueError(f"expected {k} counts for m={self.m}, got shape {c.shape}")
-        if np.any(c < 0):
-            raise ValueError("vote counts must be non-negative")
+        if np.shape(self.counts) != (k,):
+            raise ValueError(f"expected {k} counts for m={self.m}, got shape {np.shape(self.counts)}")
+        counts = [integer_argument(c, "vote count", 0, 2**63, ">= 0 and below 2**63") for c in self.counts]
+        c = np.array(counts, dtype=np.int64)
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
@@ -71,7 +69,7 @@ def condorcet_winners(profile: VoterProfile, mode: WinnerMode = WinnerMode.STRON
     A strong winner is unique when it exists; weak winners can tie through
     zero margins, so the list may have several entries.
     """
-    margins = pair_rows(profile.m).astype(np.int64) @ profile.counts
+    margins = profile.counts @ pair_signs(profile.m)
     won = winners_mask(margins[None, :], profile.m, mode.margin_threshold)[:, 0]
     return np.flatnonzero(won).tolist()
 
@@ -93,7 +91,7 @@ def _tally_basis(
     all-ones row and of the pairs kept before them. Returns the kept pairs and,
     per pair q, integers (D, c_0, ..., c_P) with D w_q = c_0 t + sum_p c_(p+1) w_p.
     """
-    tally_rows = np.vstack([np.ones(len(support), np.int64), pair_rows(m)[:, list(support)] > 0])
+    tally_rows = np.vstack([np.ones(len(support), np.int64), pair_signs(m)[list(support)].T > 0])
     # A Gram matrix's rows obey the same linear relations as the rows it is built from.
     rows = (tally_rows @ tally_rows.T).tolist()
     size = len(rows)
@@ -208,7 +206,7 @@ def exact_winner_probability(
 
     # Digit 0 counts the voters placed, digit i + 1 the tally of basis pair i.
     place = base ** np.arange(digits, dtype=np.uint64)
-    steps = place[0] + place[1:] @ (pair_rows(culture.m)[list(basis)][:, support] > 0)
+    steps = place[0] + place[1:] @ (pair_signs(culture.m)[np.ix_(support, basis)].T > 0)
     probs = culture.probs[support]
     # Order j's share of the probability of orders j, j + 1, ... (the last order needs none).
     q = (probs / np.cumsum(probs[::-1])[::-1])[:-1, None]

@@ -28,12 +28,11 @@ from .core import (
     WinnerMode,
     WinnerProbability,
     count_argument,
-    pair_rows,
     seed_argument,
     seeded_fraction,
     winners_mask,
 )
-from .culture import Culture
+from .culture import Culture, pair_signs
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,12 @@ class _WinLanes:
     """
 
     def __init__(self, m: int, support: np.ndarray, n: int) -> None:
-        bits = pair_rows(m).T[support] > 0  # (s, P)
+        table = pair_signs(m)
         self.lane = np.dtype(np.uint8 if n < 256 else np.uint16)
-        self.pairs, self.n = bits.shape[1], n
+        self.pairs, self.n = table.shape[1], n
         per_word = 8 // self.lane.itemsize
         packed = np.zeros((len(support), -(-self.pairs // per_word) * per_word), self.lane)
-        packed[:, : self.pairs] = bits
+        np.greater(table[support], 0, out=packed[:, : self.pairs])
         self.words = packed.view(np.uint64).T.copy()  # (W, s)
 
     def margins(self, idx: np.ndarray) -> np.ndarray:
@@ -137,7 +136,7 @@ def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerP
         def margins(rng: np.random.Generator, size: int) -> np.ndarray:
             return lanes.margins(guide.lookup(rng.random((size, n))))
     else:
-        rows = pair_rows(culture.m).T[support].astype(np.int64)  # (s, P)
+        rows = pair_signs(culture.m)[support].astype(np.int64)  # (s, P)
 
         def margins(rng: np.random.Generator, size: int) -> np.ndarray:
             return rng.multinomial(n, probs, size=size) @ rows

@@ -161,7 +161,11 @@ def orthants_mc(
     depends only on (seed, samples). Returns, per group, the estimate v and the
     binomial stderr sqrt(v (1 - v) / samples).
     """
-    r = validate_correlation_matrix(r)
+    return _sampled_orthants(validate_correlation_matrix(r), groups, samples, seed)
+
+
+def _sampled_orthants(r: np.ndarray, groups, samples, seed) -> list[tuple[float, float]]:
+    """:func:`orthants_mc` of a matrix already checked by :func:`validate_correlation_matrix`."""
     samples = count_argument(samples, "samples")
     d = r.shape[0]
     if d == 0:
@@ -199,8 +203,8 @@ def orthant_mc(
     is an upper bound: at most one sample of a pair lies in the orthant, so
     the estimator's is sqrt(v (1 - 2 v) / samples).
     """
-    d = validate_correlation_matrix(r).shape[0]
-    return orthants_mc(r, [[(k, 1) for k in range(d)]], samples, seed)[0]
+    r = validate_correlation_matrix(r)
+    return _sampled_orthants(r, [[(k, 1) for k in range(r.shape[0])]], samples, seed)[0]
 
 
 def closed_orthant(r: np.ndarray) -> tuple[float, None, str] | None:
@@ -265,5 +269,6 @@ def orthant_probability(
     forced, kept = split_candidate(-np.sign(deltas))  # a +inf threshold is a lost pairing
     if forced is not None:
         return forced
-    value, _, _ = orthant_zero_probability(r[np.ix_(kept, kept)], mc_samples, mc_seed)
-    return value
+    sub = r[np.ix_(kept, kept)]  # a principal submatrix of a valid matrix is valid
+    positive = [[(k, 1) for k in range(len(kept))]]
+    return (closed_orthant(sub) or _sampled_orthants(sub, positive, mc_samples, mc_seed)[0])[0]

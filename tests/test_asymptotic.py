@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from condorcet import (
     classify_m3,
     correlation_matrix,
     cyclic_minimizer_culture,
+    enumerate_rank_orders,
     ic_curve,
     ic_limit_closed,
     ic_limit_sampford,
@@ -110,6 +112,38 @@ class TestCorrelationMatrix:
     def test_candidate_out_of_range(self):
         with pytest.raises(ValueError):
             correlation_matrix(impartial_culture(3), 3)
+
+    @pytest.mark.parametrize("size", [24, 5])
+    def test_margins_and_correlations_match_fraction_oracle(self, size):
+        # Weights k / 1024 are exact in binary, so the oracle sees the culture's own probabilities.
+        rng = np.random.default_rng(size)
+        weights = np.zeros(24, dtype=np.int64)
+        weights[rng.choice(24, size, replace=False)] = rng.multinomial(1024 - size, np.ones(size) / size) + 1
+        c = Culture(4, weights / 1024)
+        probs = [Fraction(int(w), 1024) for w in weights]
+        orders = enumerate_rank_orders(4)
+
+        def sign(order, i, j):
+            return 1 if order.index(i) < order.index(j) else -1
+
+        lam = {(i, j): sum(p * sign(o, i, j) for p, o in zip(probs, orders)) for i in range(4) for j in range(4) if i != j}
+        assert np.all(np.abs(lambda_matrix(c) - [[float(lam.get((i, j), 0)) for j in range(4)] for i in range(4)]) <= 1e-15)
+        compared = 0
+        for i in range(4):
+            rivals = [j for j in range(4) if j != i]
+            if any(abs(lam[i, j]) == 1 for j in rivals):
+                with pytest.raises(DegenerateVarianceError):
+                    correlation_matrix(c, i)
+                continue
+            expected = np.eye(3)
+            for (a, j), (b, k) in itertools.permutations(enumerate(rivals), 2):
+                joint = sum(p * sign(o, i, j) * sign(o, i, k) for p, o in zip(probs, orders))
+                covariance = joint - lam[i, j] * lam[i, k]
+                variance = (1 - lam[i, j] ** 2) * (1 - lam[i, k] ** 2)
+                expected[a, b] = math.copysign(math.sqrt(covariance**2 / variance), covariance)
+            assert np.all(np.abs(correlation_matrix(c, i) - expected) <= 1e-15)
+            compared += 1
+        assert compared >= 1
 
 
 class TestClassifyDeltas:

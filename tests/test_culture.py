@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from condorcet import (
     Culture,
     CultureFormatError,
+    candidate_pairs,
     culture_from_csv,
     culture_from_json,
     culture_to_csv,
@@ -21,10 +22,10 @@ from condorcet import (
     is_dual_culture,
     joint_preference_sign,
     order_index,
+    pair_signs,
     pairwise_win_probability,
     preference_sign,
 )
-from condorcet.culture import pair_sign_matrix
 from conftest import random_culture
 
 
@@ -134,17 +135,27 @@ class TestPreferenceSigns:
             assert positives == math.factorial(m) // 2
 
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_sign_table_matches_preference_sign(self, m):
+        table = pair_signs(m)
+        assert table.dtype == np.int8 and table.shape == (math.factorial(m), m * (m - 1) // 2)
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert candidate_pairs(m) == tuple(itertools.combinations(range(m), 2))
+        for k, order in enumerate(enumerate_rank_orders(m)):
+            for p, (i, j) in enumerate(candidate_pairs(m)):
+                assert table[k, p] == preference_sign(order, i, j)
+
     def test_sign_tensor_peak_memory_at_m8(self):
-        # 8 * 8 * 8! signs are 2.6 MB as int8; one int64 intermediate would be 20 MB.
+        # 8! * 28 signs are 1.1 MB as int8; one int64 intermediate would be 9 MB.
         enumerate_rank_orders(8)  # cached order tuples are not part of the build
         tracemalloc.start()
         try:
-            signs = pair_sign_matrix.__wrapped__(8)
+            signs = pair_signs.__wrapped__(8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert signs.dtype == np.int8 and signs.shape == (8, 8, 40320)
-        assert peak < 12 * 2**20
+        assert signs.dtype == np.int8 and signs.shape == (40320, 28)
+        assert peak < 6 * 2**20
 
 
 class TestJointSign:

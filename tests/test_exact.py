@@ -445,6 +445,22 @@ class TestVoterProfile:
             VoterProfile(3, np.array([1, 2, 3]))
         with pytest.raises(ValueError):
             VoterProfile(3, np.array([1, -1, 0, 0, 0, 0]))
+        with pytest.raises(ValueError, match="below 2"):
+            VoterProfile(3, np.array([2**63, 0, 0, 0, 0, 0], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[1.5, 0, 0, 0, 0, 0], [2.0, 0, 0, 0, 0, 0], [True, 0, 0, 0, 0, 0], [True] * 6,
+         np.ones(6, dtype=bool), [math.inf, 0, 0, 0, 0, 0], [math.nan] * 6, np.array([1.5, 0, 0, 0, 0, 0])],
+    )
+    def test_non_integer_counts_rejected_not_truncated(self, counts):
+        with pytest.raises(ValueError, match="vote count must be an integer"):
+            VoterProfile(3, counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        for counts in (np.arange(6, dtype=np.uint8), np.arange(6, dtype=np.int32), [np.int64(k) for k in range(6)]):
+            profile = VoterProfile(3, counts)
+            assert profile.counts.dtype == np.int64 and profile.counts.tolist() == list(range(6))
 
     def test_n(self):
         assert profile_from_orders(3, [(0, 1, 2)] * 4).n == 4

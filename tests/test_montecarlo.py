@@ -17,6 +17,7 @@ from condorcet import (
     mc_convergence_sweep,
     mc_winner_probability,
     orthant_mc,
+    pair_signs,
     save_culture,
 )
 from condorcet import core, montecarlo
@@ -128,7 +129,7 @@ class TestGuideTable:
 def unanimous_pair_culture(m: int, size: int, seed: int) -> Culture:
     """A culture on ``size`` random orders, all of which rank candidate 0 above candidate 1."""
     rng = np.random.default_rng(seed)
-    above = np.flatnonzero(core.pair_rows(m)[0] > 0)
+    above = np.flatnonzero(pair_signs(m)[:, 0] > 0)
     probs = np.zeros(math.factorial(m))
     probs[rng.choice(above, size, replace=False)] = rng.dirichlet(np.ones(size))
     return Culture(m, probs)
@@ -142,7 +143,7 @@ class TestWinLanes:
     def test_margins_equal_summed_pair_rows(self, kind, m):
         culture = impartial_culture(m) if kind == "uniform" else unanimous_pair_culture(m, 300, m)
         support = culture.support()
-        s, rows = len(support), core.pair_rows(m).T[support]
+        s, rows = len(support), pair_signs(m)[support]
         for n in (255, 256, s - 1):
             trials = max(4, 20_000 // n)
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([n, 0])))

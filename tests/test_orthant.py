@@ -11,7 +11,8 @@ from condorcet import (
     orthant_mc,
     orthant_probability,
 )
-from condorcet.orthant import orthant_zero_probability
+from condorcet import orthant
+from condorcet.orthant import orthant_zero_probability, orthants_mc
 
 NEG = -math.inf
 POS = math.inf
@@ -217,6 +218,21 @@ class TestOrthantMc:
 
     def test_numpy_integer_sample_count_accepted(self):
         assert orthant_mc(np.eye(2), np.int64(1_001), seed=5) == orthant_mc(np.eye(2), 1_001, seed=5)
+
+    def test_each_public_entry_validates_the_matrix_once(self, monkeypatch):
+        calls = []
+        validate = orthant.validate_correlation_matrix
+        monkeypatch.setattr(orthant, "validate_correlation_matrix", lambda r: calls.append(1) or validate(r))
+        r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)  # no closed form: a Monte Carlo term
+        for evaluate in (
+            lambda: orthant_mc(r, 1_000, seed=0),
+            lambda: orthants_mc(r, [[(0, 1), (1, -1)], [(2, 1)]], 1_000, seed=0),
+            lambda: orthant_probability([0.0] * 4, r, mc_samples=1_000),
+            lambda: orthant_zero_probability(r, 1_000),
+        ):
+            calls.clear()
+            evaluate()
+            assert len(calls) == 1
 
 
 class TestDispatcher:
