@@ -10,6 +10,14 @@ pair of :func:`candidate_pairs` (:func:`pair_signs`).
 Cultures are validated strictly: entries must be finite, non-negative and sum
 to one within 1e-12. Inputs that fail are rejected, never renormalized, so data
 errors surface at the boundary instead of being averaged away.
+
+Cultures are saved as JSON or as CSV, one ``order,prob`` row per order keyed
+by its candidates joined by hyphens (``0-2-1``). The CSV reader works on whole
+columns: it splits the body once into keys and values, takes the writer's keys
+in the writer's sequence as indices 0..K-1 with one comparison, parses the
+values with ``float`` and checks duplicates, signs, finiteness and the row
+count as array operations. Only when a check fails does it walk the rows, to
+name the first bad line.
 """
 
 from __future__ import annotations
@@ -69,9 +77,15 @@ def _order_index_map(m: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _order_keys(m: int) -> tuple[str, ...]:
+    """The CSV key of each order, the candidates joined by hyphens, in canonical sequence."""
+    return tuple("-".join(map(str, o)) for o in enumerate_rank_orders(m))
+
+
+@lru_cache(maxsize=None)
 def _order_key_map(m: int) -> dict[str, int]:
-    """Index of each order by its CSV key, the candidates joined by hyphens."""
-    return {"-".join(map(str, o)): i for i, o in enumerate(enumerate_rank_orders(m))}
+    """Index of each order by its CSV key."""
+    return {key: i for i, key in enumerate(_order_keys(m))}
 
 
 def order_index(order) -> int:
@@ -239,76 +253,151 @@ def culture_from_json(text: str) -> Culture:
     m, probs = obj["m"], obj["probs"]
     if not isinstance(m, int):
         raise CultureFormatError(f'field "m" must be an integer, got {m!r}')
+    try:
+        _check_candidate_count(m)  # rejects true and false too
+    except ValueError as exc:
+        raise CultureFormatError(str(exc)) from None
     if not isinstance(probs, list):
         raise CultureFormatError('field "probs" must be a list of numbers')
     return Culture(m, np.array(probs, dtype=float))
 
 
 def culture_to_csv(culture: Culture) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["order", "prob"])
-    for o, p in zip(enumerate_rank_orders(culture.m), culture.probs):
-        writer.writerow(["-".join(map(str, o)), format(p, ".17g")])
-    return out.getvalue()
+    return "order,prob\n" + "".join(
+        [f"{key},{p:.17g}\n" for key, p in zip(_order_keys(culture.m), culture.probs.tolist())]
+    )
+
+
+_CSV_HEADER = ["order", "prob"]
+_NOT_A_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 
 def culture_from_csv(text: str) -> Culture:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or [f.strip() for f in rows[0]] != ["order", "prob"]:
-        raise CultureFormatError('expected CSV header "order,prob"')
+    """Read the CSV of :func:`culture_to_csv`: a header ``order,prob``, then one row per order.
+
+    The dialect is ``csv.reader``'s default: comma-separated, optionally
+    double-quoted fields, LF or CRLF line ends. Blank lines are skipped,
+    whitespace around a field is stripped, rows may come in any order, and a
+    key may spell a candidate in any form ``int`` accepts (``1-00``). The first
+    row's key sets m. Every row is checked; the first bad one is named by its
+    line number.
+    """
+    columns = _csv_columns(text)
+    if columns is not None:
+        culture = _culture_from_columns(*columns)
+        if culture is not None:
+            return culture
+    raise CultureFormatError(_first_bad_row(list(csv.reader(io.StringIO(text)))))
+
+
+def _csv_columns(text: str) -> tuple[list[str], list[str]] | None:
+    """The order and prob fields of the non-blank rows below the header.
+
+    None when the header is wrong, no row follows it or a row has other than
+    two fields. Text with a quote or a lone CR is split by ``csv.reader``;
+    otherwise the fields are exactly those of ``str.split``.
+    """
+    flat = text.replace("\r\n", "\n") if "\r" in text else text
+    if '"' in flat or "\r" in flat:
+        rows = list(csv.reader(io.StringIO(text)))
+        body = [row for row in rows[1:] if row]
+        if not rows or [f.strip() for f in rows[0]] != _CSV_HEADER:
+            return None
+        if not body or any(len(row) != 2 for row in body):
+            return None
+        return [row[0] for row in body], [row[1] for row in body]
+    header, _, body = flat.partition("\n")
+    if [f.strip() for f in header.split(",")] != _CSV_HEADER:
+        return None
+    body = body.strip("\n")
+    while "\n\n" in body:  # blank lines
+        body = body.replace("\n\n", "\n")
+    # Two fields a row: the separators read ",\n" row by row.
+    separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_A_SEPARATOR)
+    if not body or separators != b",\n" * body.count("\n") + b",":
+        return None
+    fields = body.replace("\n", ",").split(",")
+    return fields[0::2], fields[1::2]
+
+
+def _culture_from_columns(keys: list[str], values: list[str]) -> Culture | None:
+    """The culture the rows give, or None if a row is bad; a wrong sum still raises."""
+    m = keys[0].count("-") + 1  # if the first key parses, it has m parts
+    if not MIN_CANDIDATES <= m <= MAX_CANDIDATES or len(keys) != math.factorial(m):
+        return None
+    try:
+        probs = np.array([float(value) for value in values])
+    except ValueError:  # float() keeps some whitespace that strip() drops, such as "\x1c"
+        try:
+            probs = np.array([float(value.strip()) for value in values])
+        except ValueError:
+            return None
+    if not (probs.min() >= 0.0 and probs.max() < math.inf):  # NaN fails both
+        return None
+    if tuple(keys) != _order_keys(m):  # not the writer's keys in its order
+        index = _order_key_map(m)
+        keys = [key.strip() for key in keys]
+        try:
+            at = np.array([index[key] if key in index else _key_index(key, m) for key in keys])
+        except CultureFormatError:
+            return None
+        if np.bincount(at).max() > 1:  # a duplicate; with k rows, all are present otherwise
+            return None
+        placed = np.empty_like(probs)
+        placed[at] = probs
+        probs = placed
+    return Culture(m, probs)
+
+
+def _key_index(key: str, m: int | None) -> int:
+    """Canonical index of a stripped order key with m candidates (any count if m is None)."""
+    try:
+        order = tuple(int(part) for part in key.split("-"))
+    except ValueError:
+        raise CultureFormatError(f"cannot parse {key!r}") from None
+    if m is not None and len(order) != m:
+        raise CultureFormatError(f"expected {m} candidates, got {len(order)}")
+    try:
+        return order_index(order)
+    except ValueError as exc:
+        raise CultureFormatError(str(exc)) from None
+
+
+def _first_bad_row(rows: list[list[str]]) -> str:
+    """Why these ``csv.reader`` rows were rejected: the header, the first bad row or the row count."""
+    if not rows or [f.strip() for f in rows[0]] != _CSV_HEADER:
+        return 'expected CSV header "order,prob"'
     m = None
-    keys: dict[str, int] = {}  # the writer's key of every order, once m is known
-    seen: dict[int, float] = {}
+    index: dict[str, int] = {}
+    seen: set[int] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
-            raise CultureFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+            return f"line {lineno}: expected 2 fields, got {len(row)}"
         key, value = row[0].strip(), row[1].strip()
-        idx = keys.get(key)
-        if idx is None:  # the first row, or a key the writer would not emit
-            try:
-                order = tuple(int(part) for part in key.split("-"))
-            except ValueError:
-                raise CultureFormatError(
-                    f"line {lineno}, field 'order': cannot parse {key!r}"
-                ) from None
-            if m is None:
-                m = len(order)
-                if MIN_CANDIDATES <= m <= MAX_CANDIDATES:
-                    keys = _order_key_map(m)
-            elif len(order) != m:
-                raise CultureFormatError(
-                    f"line {lineno}, field 'order': expected {m} candidates, got {len(order)}"
-                )
-            try:
-                idx = order_index(order)
-            except ValueError as exc:
-                raise CultureFormatError(f"line {lineno}, field 'order': {exc}") from None
+        try:
+            idx = index[key] if key in index else _key_index(key, m)
+        except CultureFormatError as exc:
+            return f"line {lineno}, field 'order': {exc}"
+        if m is None:  # _key_index checked that m is in range
+            m = key.count("-") + 1
+            index = _order_key_map(m)
         if idx in seen:
-            raise CultureFormatError(f"line {lineno}: duplicate order key {key!r}")
+            return f"line {lineno}: duplicate order key {key!r}"
+        seen.add(idx)
         try:
             prob = float(value)
         except ValueError:
-            raise CultureFormatError(
-                f"line {lineno}, field 'prob': cannot parse {value!r}"
-            ) from None
+            return f"line {lineno}, field 'prob': cannot parse {value!r}"
         if prob < 0.0:
-            raise CultureFormatError(f"line {lineno}, field 'prob': negative value {value}")
+            return f"line {lineno}, field 'prob': negative value {value}"
         if not math.isfinite(prob):
             kind = "NaN" if math.isnan(prob) else "infinite"
-            raise CultureFormatError(f"line {lineno}, field 'prob': {kind} probability {prob!r}")
-        seen[idx] = prob
+            return f"line {lineno}, field 'prob': {kind} probability {prob!r}"
     if m is None:
-        raise CultureFormatError("no culture rows found")
-    k = math.factorial(m)
-    if len(seen) != k:
-        raise CultureFormatError(f"expected {k} rows for m={m}, got {len(seen)}")
-    probs = np.zeros(k)
-    for idx, prob in seen.items():
-        probs[idx] = prob
-    return Culture(m, probs)
+        return "no culture rows found"
+    return f"expected {math.factorial(m)} rows for m={m}, got {len(seen)}"
 
 
 def save_culture(culture: Culture, path, fmt: str | None = None) -> None:

@@ -72,9 +72,11 @@ class _GuideTable:
         self.below = np.concatenate(([0.0], cdf[:-1]))  # cdf[i-1], and 0 for i = 0
         self.buckets = 4 * cdf.size
         # cdf[i] <= (b + 1/2) / K iff ceil(cdf[i] K - 1/2) <= b, so entry b counts those i.
-        edges = np.ceil(cdf * self.buckets - 0.5).astype(np.intp)
-        counts = np.bincount(edges, minlength=self.buckets + 1)
-        self.guide = np.minimum(counts.cumsum(), cdf.size - 1)
+        edges = cdf * self.buckets
+        edges -= 0.5
+        guide = np.bincount(np.ceil(edges, out=edges).astype(np.intp), minlength=self.buckets + 1)
+        np.cumsum(guide, out=guide)
+        self.guide = np.minimum(guide, cdf.size - 1, out=guide)
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """``cdf.searchsorted(u, side="right")`` for u in [0, 1)."""

@@ -278,6 +278,19 @@ class TestExitCodes:
         assert "NaN probability" in err
 
     @pytest.mark.parametrize(
+        "m, message",
+        [("9", "candidate count must be in [2, 8], got 9"), ("true", "candidate count must be an integer, got True")],
+        ids=["nine", "true"],
+    )
+    def test_json_candidate_count_error_names_the_file(self, tmp_path, capsys, m, message):
+        path = tmp_path / "bad-m.json"
+        path.write_text(f'{{"m": {m}, "probs": [0.5, 0.5]}}')
+        code, out, err = run_cli(capsys, "limit", "--culture", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"condorcet: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("mc", "--culture", "ic", "--m", "3", "--n", "11", "--trials", "inf"),

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 import tracemalloc
@@ -26,6 +28,7 @@ from condorcet import (
     pairwise_win_probability,
     preference_sign,
 )
+from condorcet.culture import _order_key_map
 from conftest import random_culture
 
 
@@ -300,3 +303,171 @@ class TestSerialization:
             culture_from_json("[1, 2]")
         with pytest.raises(CultureFormatError):
             culture_from_json('{"m": 3}')
+
+
+def reference_culture_from_csv(text: str) -> Culture:
+    """The row-by-row reader that ``culture_from_csv`` replaced, kept as its oracle."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or [f.strip() for f in rows[0]] != ["order", "prob"]:
+        raise CultureFormatError('expected CSV header "order,prob"')
+    m = None
+    keys: dict[str, int] = {}  # the writer's key of every order, once m is known
+    seen: dict[int, float] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise CultureFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+        key, value = row[0].strip(), row[1].strip()
+        idx = keys.get(key)
+        if idx is None:  # the first row, or a key the writer would not emit
+            try:
+                order = tuple(int(part) for part in key.split("-"))
+            except ValueError:
+                raise CultureFormatError(
+                    f"line {lineno}, field 'order': cannot parse {key!r}"
+                ) from None
+            if m is None:
+                m = len(order)
+                if 2 <= m <= 8:
+                    keys = _order_key_map(m)
+            elif len(order) != m:
+                raise CultureFormatError(
+                    f"line {lineno}, field 'order': expected {m} candidates, got {len(order)}"
+                )
+            try:
+                idx = order_index(order)
+            except ValueError as exc:
+                raise CultureFormatError(f"line {lineno}, field 'order': {exc}") from None
+        if idx in seen:
+            raise CultureFormatError(f"line {lineno}: duplicate order key {key!r}")
+        try:
+            prob = float(value)
+        except ValueError:
+            raise CultureFormatError(
+                f"line {lineno}, field 'prob': cannot parse {value!r}"
+            ) from None
+        if prob < 0.0:
+            raise CultureFormatError(f"line {lineno}, field 'prob': negative value {value}")
+        if not math.isfinite(prob):
+            kind = "NaN" if math.isnan(prob) else "infinite"
+            raise CultureFormatError(f"line {lineno}, field 'prob': {kind} probability {prob!r}")
+        seen[idx] = prob
+    if m is None:
+        raise CultureFormatError("no culture rows found")
+    k = math.factorial(m)
+    if len(seen) != k:
+        raise CultureFormatError(f"expected {k} rows for m={m}, got {len(seen)}")
+    probs = np.zeros(k)
+    for idx, prob in seen.items():
+        probs[idx] = prob
+    return Culture(m, probs)
+
+
+def _csv_text(rows, header="order,prob", eol="\n"):
+    return eol.join([header, *rows]) + eol
+
+
+_KEYS3 = ["-".join(map(str, o)) for o in itertools.permutations(range(3))]
+_ROWS3 = [f"{key},{p}" for key, p in zip(_KEYS3, ["0.5", "0.25", "0.125", "0.0625", "0.03125", "0.03125"])]
+_IC8 = culture_to_csv(impartial_culture(8))
+
+
+def _replace(rows, at, row):
+    return rows[:at] + [row] + rows[at + 1 :]
+
+
+LOADABLE = {
+    "canonical": _csv_text(_ROWS3),
+    "no-final-newline": "\n".join(["order,prob", *_ROWS3]),
+    "crlf": _csv_text(_ROWS3, eol="\r\n"),
+    "crlf-no-final-newline": "\r\n".join(["order,prob", *_ROWS3]),
+    "final-cr": "\n".join(["order,prob", *_ROWS3]) + "\r",
+    "cr-crlf": _csv_text(_ROWS3, eol="\r\r\n"),
+    "blank-lines": "order,prob\n\n" + "\n\n\n".join(_ROWS3) + "\n\n",
+    "crlf-blank-lines": "order,prob\r\n\r\n" + "\r\n\r\n".join(_ROWS3) + "\r\n\r\n",
+    "padded": _csv_text([f" {r.replace(',', chr(9) + ', ')}  " for r in _ROWS3], header=" order , prob\t"),
+    "unicode-padded": _csv_text([f"\u2003{r.replace(',', chr(0xA0) + ',' + chr(0x1C))}\u3000" for r in _ROWS3]),
+    "quoted": _csv_text([f'"{r.split(",")[0]}","{r.split(",")[1]}"' for r in _ROWS3], header='"order","prob"'),
+    "quoted-crlf": _csv_text([f'"{r.split(",")[0]}",{r.split(",")[1]}' for r in _ROWS3], eol="\r\n"),
+    "quoted-newline-in-key": _csv_text(_replace(_ROWS3, 0, '"0-1-2\n",0.5')),
+    "shuffled": _csv_text(_ROWS3[::-1]),
+    "shuffled-m8": _csv_text(_IC8.splitlines()[:0:-1]),
+    "non-canonical-keys": "order,prob\n0-1,0.25\n1-00,0.75\n",
+    "non-canonical-first-key": "order,prob\n+1-0_0,0.25\n0-1,0.75\n",
+    "underscore-value": "order,prob\n0-1,0.2_5\n1-0,0.7_5\n",
+    "exponents-and-negative-zero": "order,prob\n0-1,-0.0\n1-0,1e0\n",
+    "writer-m2": culture_to_csv(Culture(2, [0.3, 0.7])),
+    "writer-m5-dirichlet": culture_to_csv(random_culture(np.random.default_rng(5), 5)),
+    "writer-m8-uniform": _IC8,
+}
+
+REJECTED = {
+    "empty": "",
+    "header-only": "order,prob\n",
+    "header-and-blank-lines": "order,prob\n\n\r\n\n",
+    "wrong-header": _csv_text(_ROWS3, header="order,probability"),
+    "blank-first-line": "\n" + _csv_text(_ROWS3),
+    "one-field-row": _csv_text(_replace(_ROWS3, 2, "0-1-2")),
+    "three-field-row": _csv_text(_replace(_ROWS3, 2, "1-0-2,0.125,x")),
+    "whitespace-row": _csv_text(_ROWS3[:3] + ["  "] + _ROWS3[3:]),
+    "three-then-one-field": _csv_text(["0-1-2,0.5,0-2-1", "0.25", *_ROWS3[2:]]),
+    "one-then-three-fields": _csv_text(["0-1-2", "0.5,0-2-1,0.25", *_ROWS3[2:]]),
+    "quoted-comma": _csv_text(_replace(_ROWS3, 1, '0-2-1,"0.25,0"')),
+    "wrong-m-key": _csv_text(_replace(_ROWS3, 3, "0-1,0.0625")),
+    "wrong-m-first-key": _csv_text(["0-1-2-3,0.5", *_ROWS3[1:]]),
+    "non-permutation": _csv_text(_replace(_ROWS3, 4, "0-0-1,0.03125")),
+    "key-underscore": "order,prob\n0-1,0.5\n1_0-0,0.5\n",
+    "one-candidate": "order,prob\n0,1.0\n",
+    "nine-candidates": "order,prob\n0-1-2-3-4-5-6-7-8,1.0\n",
+    "unparseable-key": _csv_text(_replace(_ROWS3, 1, "0-x-1,0.25")),
+    "empty-key": _csv_text(_replace(_ROWS3, 1, ",0.25")),
+    "duplicate": _csv_text(_replace(_ROWS3, 5, _ROWS3[4])),
+    "duplicate-non-canonical": "order,prob\n0-1,0.25\n00-1,0.75\n",
+    "bad-value": _csv_text(_replace(_ROWS3, 2, "1-0-2,abc")),
+    "empty-value": _csv_text(_replace(_ROWS3, 2, "1-0-2,")),
+    "negative": _csv_text(_replace(_ROWS3, 2, "1-0-2,-0.125")),
+    "nan": _csv_text(_replace(_ROWS3, 2, "1-0-2,nan")),
+    "inf": _csv_text(_replace(_ROWS3, 2, "1-0-2,inf")),
+    "minus-inf": _csv_text(_replace(_ROWS3, 2, "1-0-2,-inf")),
+    "missing-rows": _csv_text(_ROWS3[:5]),
+    "extra-row": _csv_text([*_ROWS3, "0-1-2,0.0"]),
+    "sum-off": _csv_text(_replace(_ROWS3, 5, "2-1-0,0.03")),
+    "lone-cr": "order,prob\r" + "\r".join(_ROWS3) + "\r",
+    "m8-negative-last-row": _IC8[: _IC8.rindex(",") + 1] + "-1e-9\n",
+    "m8-missing-row": _IC8[: _IC8.rindex("\n", 0, -1) + 1],
+}
+
+
+def _outcome(parse, text):
+    try:
+        culture = parse(text)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+    return culture.m, culture.probs
+
+
+class TestCsvReaderAgainstRowLoop:
+    @pytest.mark.parametrize("text", LOADABLE.values(), ids=LOADABLE.keys())
+    def test_loads_what_the_row_loop_loads(self, text):
+        m, probs = _outcome(reference_culture_from_csv, text)
+        got_m, got_probs = _outcome(culture_from_csv, text)
+        assert got_m == m
+        assert np.array_equal(got_probs, probs)
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejects_what_the_row_loop_rejects(self, text):
+        expected = _outcome(reference_culture_from_csv, text)
+        assert isinstance(expected[0], type)
+        assert _outcome(culture_from_csv, text) == expected
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_csv_writer_bytes_match_csv_module(m, rng):
+    for culture in (impartial_culture(m), random_culture(rng, m)):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["order", "prob"])
+        for o, p in zip(enumerate_rank_orders(m), culture.probs):
+            writer.writerow(["-".join(map(str, o)), format(p, ".17g")])
+        assert culture_to_csv(culture).encode() == out.getvalue().encode()
