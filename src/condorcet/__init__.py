@@ -16,7 +16,6 @@ from .asymptotic import (
     audit_table1,
     case7_culture,
     case17_culture,
-    classify_deltas,
     classify_m3,
     correlation_matrix,
     ic_curve,
@@ -36,16 +35,13 @@ from .culture import (
     culture_to_csv,
     culture_to_json,
     cyclic_minimizer_culture,
-    dual_order,
     enumerate_rank_orders,
     impartial_culture,
     is_dual_culture,
-    joint_preference_sign,
     load_culture_file,
     order_index,
     pair_signs,
     pairwise_win_probability,
-    preference_sign,
     save_culture,
 )
 from .exact import (
@@ -65,10 +61,8 @@ from .exact import (
 from .montecarlo import McConfig, mc_convergence_sweep, mc_winner_probability
 from .orthant import (
     CorrelationMatrixError,
-    bacon_recursion,
     equicorrelated_orthant,
     orthant_mc,
-    orthant_probability,
 )
 
 __version__ = "0.1.0"
@@ -89,11 +83,9 @@ __all__ = [
     "WinnerMode",
     "WinnerProbability",
     "audit_table1",
-    "bacon_recursion",
     "candidate_pairs",
     "case17_culture",
     "case7_culture",
-    "classify_deltas",
     "classify_m3",
     "condorcet_winner",
     "condorcet_winners",
@@ -103,7 +95,6 @@ __all__ = [
     "culture_to_csv",
     "culture_to_json",
     "cyclic_minimizer_culture",
-    "dual_order",
     "enumerate_rank_orders",
     "equicorrelated_orthant",
     "exact_winner_probability",
@@ -112,7 +103,6 @@ __all__ = [
     "ic_limit_sampford",
     "impartial_culture",
     "is_dual_culture",
-    "joint_preference_sign",
     "lambda_matrix",
     "limiting_probability",
     "load_culture_file",
@@ -123,10 +113,8 @@ __all__ = [
     "minimum_winner_probability",
     "order_index",
     "orthant_mc",
-    "orthant_probability",
     "pair_signs",
     "pairwise_win_probability",
-    "preference_sign",
     "save_culture",
     "tie_probability",
 ]

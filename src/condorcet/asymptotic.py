@@ -41,16 +41,15 @@ import numpy as np
 
 from .core import DEFAULT_SEED, Method, WinnerProbability, count_argument, seed_argument, split_candidate
 from .culture import Culture, pair_signs
-from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, gauss_legendre, orthant_mc, orthant_zero_probability, orthants_mc
+from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, gauss_legendre, orthant_mc, orthants_mc
 
 _TWO_PI = 2.0 * math.pi
 
 DELTA_SIGN_TOL = 1e-12
 DEGENERATE_MARGIN_TOL = 1e-12
 
-# Integration threshold and its label per margin sign: a pairing won surely in
-# the limit frees its condition (-inf), one lost surely cannot hold (+inf).
-_THRESHOLDS = {1: -math.inf, 0: 0.0, -1: math.inf}
+# Integration threshold label per margin sign: a pairing won surely in the
+# limit frees its condition (-inf), one lost surely cannot hold (+inf).
 _THRESHOLD_LABELS = {1: "-inf", 0: "0", -1: "+inf"}
 
 
@@ -82,22 +81,7 @@ def _margin_signs(lam: np.ndarray, tol: float) -> list[list[int]]:
     """The sign rule: +1 above ``tol``, -1 below ``-tol``, 0 within ``tol`` of zero."""
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
-    lam = np.asarray(lam, dtype=float)
-    if np.isnan(lam).any():
-        raise ValueError("margin matrix has a NaN entry")
     return ((lam > tol).astype(int) - (lam < -tol)).tolist()
-
-
-def classify_deltas(lam: np.ndarray, tol: float = DELTA_SIGN_TOL) -> dict[tuple[int, int], float]:
-    """Integration thresholds induced by the margin signs, per ordered pair.
-
-    A margin above ``tol`` maps to -inf (the pairwise condition holds surely
-    in the limit), below ``-tol`` to +inf (it fails surely), and anything
-    within ``tol`` of zero to 0.
-    """
-    signs = _margin_signs(lam, tol)
-    m = len(signs)
-    return {(i, j): _THRESHOLDS[signs[i][j]] for i in range(m) for j in range(m) if i != j}
 
 
 @lru_cache(maxsize=None)
@@ -352,11 +336,7 @@ class Table1AuditRow:
     passed: bool
 
 
-def audit_table1(
-    samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    magnitude: float = 0.12,
-) -> list[Table1AuditRow]:
+def audit_table1(samples: int = DEFAULT_MC_SAMPLES, seed: int = DEFAULT_SEED) -> list[Table1AuditRow]:
     """Check every table row against a Monte Carlo orthant evaluation.
 
     For each sign pattern a culture realizing it is constructed, classified,
@@ -368,7 +348,7 @@ def audit_table1(
     seed = seed_argument(seed, "seed")
     results = []
     for row in TABLE1:
-        culture = sign_pattern_culture(row.signs, magnitude)
+        culture = sign_pattern_culture(row.signs)
         signs, parts, _ = _decomposition(culture, DELTA_SIGN_TOL)
         number, formula_value = _table1_value(signs, parts)
         if number != row.number:
@@ -443,13 +423,13 @@ def ic_limit_sampford(m: int) -> float:
 
     Under the uniform culture all margins are balanced and every candidate's
     correlation matrix is equicorrelated at 1/3, so the limit is m times the
-    (m-1)-dimensional orthant value from :func:`orthant_zero_probability`:
-    closed forms for m <= 4, the equicorrelated integral above; the range rule
-    is that of WinnerProbability.
+    (m-1)-dimensional orthant value from :func:`closed_orthant`: closed forms
+    for m <= 4, the equicorrelated integral above; the range rule is that of
+    WinnerProbability.
     """
     if m < 2:
         raise ValueError(f"candidate count must be >= 2, got {m}")
-    value = m * orthant_zero_probability((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0]
+    value = m * closed_orthant((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0]
     return WinnerProbability(value, Method.LIMIT).value
 
 

@@ -122,19 +122,19 @@ def seed_argument(value, name: str) -> int:
     return integer_argument(value, name, 0, 2**64, "an unsigned 64-bit integer")
 
 
-def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) -> tuple[float, float]:
-    """Fraction of ``trials`` seeded samples that hit, with its binomial stderr.
+def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) -> list[tuple[float, float]]:
+    """Fractions of ``trials`` seeded samples that hit each group, with their binomial stderrs.
 
     Each drawn row of ``width`` values yields ``per_row`` samples.
-    ``hits(rng, k)`` draws the rows of k samples from ``rng`` and returns how
-    many of the k samples hit. The rows come from one PCG64 stream seeded by
-    ``SeedSequence(entropy)``, in chunks of about ``_CHUNK_CELLS`` values and
-    whole rows; only the last chunk may end part-way through a row. numpy's
-    generators fill rows in sequence, so the result depends only on
-    (entropy, trials), never on the chunk size.
+    ``hits(rng, k)`` draws the rows of k samples from ``rng`` and returns, per
+    group, how many of the k samples hit it. The rows come from one PCG64
+    stream seeded by ``SeedSequence(entropy)``, in chunks of about
+    ``_CHUNK_CELLS`` values and whole rows; only the last chunk may end
+    part-way through a row. numpy's generators fill rows in sequence, so the
+    result depends only on (entropy, trials), never on the chunk size.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     chunk = per_row * max(1, _CHUNK_CELLS // width)
-    total = sum(hits(rng, min(chunk, trials - start)) for start in range(0, trials, chunk))
-    value = total / trials
-    return value, math.sqrt(value * (1.0 - value) / trials)
+    counts = (hits(rng, min(chunk, trials - start)) for start in range(0, trials, chunk))
+    totals = sum(np.array(c, dtype=np.int64) for c in counts)
+    return [(v, math.sqrt(v * (1.0 - v) / trials)) for v in (int(total) / trials for total in totals)]

@@ -94,41 +94,10 @@ def order_index(order) -> int:
     return _order_index_map(len(o))[o]
 
 
-def dual_order(order) -> tuple[int, ...]:
-    """The reversal of a rank order (an involution)."""
-    return tuple(reversed(_validate_order(order)))
-
-
 @lru_cache(maxsize=None)
 def _dual_permutation(m: int) -> tuple[int, ...]:
     index = _order_index_map(m)
     return tuple(index[tuple(reversed(o))] for o in enumerate_rank_orders(m))
-
-
-def preference_sign(order, i: int, j: int) -> int:
-    """+1 if candidate i is ranked above candidate j in the order, else -1."""
-    o = _validate_order(order)
-    m = len(o)
-    if i == j:
-        raise ValueError("candidates must be distinct")
-    if not (0 <= i < m and 0 <= j < m):
-        raise ValueError(f"candidate out of range for m={m}: ({i}, {j})")
-    return 1 if o.index(i) < o.index(j) else -1
-
-
-def joint_preference_sign(order, i: int, j: int, l: int) -> int:
-    """+1 if i beats both j and l, or loses to both, in the order; else -1.
-
-    Equals the product ``preference_sign(order, i, j) * preference_sign(order, i, l)``.
-    """
-    o = _validate_order(order)
-    m = len(o)
-    if len({i, j, l}) != 3:
-        raise ValueError("candidates must be pairwise distinct")
-    if not all(0 <= c < m for c in (i, j, l)):
-        raise ValueError(f"candidate out of range for m={m}: ({i}, {j}, {l})")
-    pi, pj, pl = o.index(i), o.index(j), o.index(l)
-    return 1 if (pi < pj) == (pi < pl) else -1
 
 
 @lru_cache(maxsize=None)
@@ -217,10 +186,10 @@ def cyclic_minimizer_culture(m: int) -> Culture:
     return Culture(m, probs)
 
 
-def is_dual_culture(culture: Culture, tol: float = DUAL_TOL) -> bool:
+def is_dual_culture(culture: Culture) -> bool:
     """True when every rank order and its reversal carry equal probability."""
     dual = np.array(_dual_permutation(culture.m))
-    return bool(np.all(np.abs(culture.probs - culture.probs[dual]) <= tol))
+    return bool(np.all(np.abs(culture.probs - culture.probs[dual]) <= DUAL_TOL))
 
 
 def pairwise_win_probability(culture: Culture, i: int, j: int) -> float:
@@ -259,7 +228,14 @@ def culture_from_json(text: str) -> Culture:
         raise CultureFormatError(str(exc)) from None
     if not isinstance(probs, list):
         raise CultureFormatError('field "probs" must be a list of numbers')
-    return Culture(m, np.array(probs, dtype=float))
+    if set(map(type, probs)) - {int, float}:  # a string, null, bool or list
+        k = next(k for k, p in enumerate(probs) if type(p) not in (int, float))
+        raise CultureFormatError(f'field "probs": entry {k} must be a number, got {json.dumps(probs[k])}')
+    try:
+        probs = np.array(probs, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise CultureFormatError('field "probs" holds an integer too large for a float') from None
+    return Culture(m, probs)
 
 
 def culture_to_csv(culture: Culture) -> str:
@@ -287,7 +263,16 @@ def culture_from_csv(text: str) -> Culture:
         culture = _culture_from_columns(*columns)
         if culture is not None:
             return culture
-    raise CultureFormatError(_first_bad_row(list(csv.reader(io.StringIO(text)))))
+    raise CultureFormatError(_first_bad_row(_csv_rows(text)))
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """``csv.reader``'s rows; a lone CR inside a line or an overlong field raises CultureFormatError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise CultureFormatError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
 
 
 def _csv_columns(text: str) -> tuple[list[str], list[str]] | None:
@@ -299,7 +284,7 @@ def _csv_columns(text: str) -> tuple[list[str], list[str]] | None:
     """
     flat = text.replace("\r\n", "\n") if "\r" in text else text
     if '"' in flat or "\r" in flat:
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = _csv_rows(text)
         body = [row for row in rows[1:] if row]
         if not rows or [f.strip() for f in rows[0]] != _CSV_HEADER:
             return None

@@ -143,11 +143,11 @@ def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerP
         def margins(rng: np.random.Generator, size: int) -> np.ndarray:
             return rng.multinomial(n, probs, size=size) @ rows
 
-    def hits(rng: np.random.Generator, size: int) -> int:
+    def hits(rng: np.random.Generator, size: int) -> list[int]:
         mask = winners_mask(margins(rng, size), culture.m, threshold)
-        return int(np.count_nonzero(mask.any(axis=0)))
+        return [np.count_nonzero(mask.any(axis=0))]
 
-    value, stderr = seeded_fraction([config.seed, 0], config.trials, min(n, s), hits)
+    [(value, stderr)] = seeded_fraction([config.seed, 0], config.trials, min(n, s), hits)
     detail = {"trials": config.trials, "seed": config.seed}
     return WinnerProbability(value, Method.MONTE_CARLO, stderr=stderr, detail=detail)
 

@@ -2,14 +2,16 @@
 
 These are the L-functions of the large-electorate limit: the probability that
 every coordinate of a standardized normal vector with correlation matrix R is
-non-negative. Closed forms exist through dimension three; equicorrelated
-matrices of any dimension reduce to a one-dimensional integral, taken by a
-fixed composite Gauss-Legendre rule (:func:`gauss_legendre`,
-:func:`closed_orthant`); everything else falls back to a seeded Monte Carlo
-estimate over antithetic pairs of normal rows (u and -u), which needs half
-the normal draws of plain sampling and reports the binomial standard error as
-an upper bound. One draw can serve several orthants of signed coordinates of
-the same vector (:func:`orthants_mc`).
+non-negative. One dispatcher, :func:`closed_orthant`, gives every value with
+a deterministic form: closed forms through dimension three, and for
+equicorrelated matrices of any dimension a one-dimensional integral, taken by
+a fixed composite Gauss-Legendre rule (:func:`gauss_legendre`). One sampler,
+:func:`orthants_mc`, estimates the rest from antithetic pairs of normal rows
+(u and -u), which need half the normal draws of plain sampling; it reports
+the binomial standard error as an upper bound, and one draw serves several
+orthants of signed coordinates of the same vector. :func:`orthant_mc` is its
+single all-positive orthant. The odd-dimension recursion for equicorrelated
+matrices lives in the tests, as an oracle for the integral.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_SEED, count_argument, seeded_fraction, split_candidate
+from .core import DEFAULT_SEED, count_argument, seeded_fraction
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -65,14 +67,14 @@ def validate_correlation_matrix(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _common_correlation(r: np.ndarray, tol: float = EQUICORRELATION_TOL) -> float | None:
+def _common_correlation(r: np.ndarray) -> float | None:
     """The shared off-diagonal value when ``r`` is equicorrelated, else None."""
     d = r.shape[0]
     off = r[~np.eye(d, dtype=bool)]
     if off.size == 0:
         return None
     first = float(off[0])
-    return first if np.all(np.abs(off - first) <= tol) else None
+    return first if np.all(np.abs(off - first) <= EQUICORRELATION_TOL) else None
 
 
 def equicorrelated_orthant(rho: float, d: int) -> float:
@@ -104,36 +106,6 @@ def equicorrelated_orthant(rho: float, d: int) -> float:
     return float(w @ (np.exp(-t * t) * tail**d)) / _SQRT_PI
 
 
-def bacon_recursion(rho: float, d: int) -> float:
-    """Odd-dimensional equicorrelated orthant probability by recursion.
-
-    For odd d >= 3 the orthant probability follows from the lower-dimensional
-    values:
-
-        L_d = (1/2) [1 - d/2 + sum_{k=2}^{d-1} (-1)^k C(d, k) L_k]
-
-    with L_1 = 1/2 and L_2 = 1/4 + arcsin(rho) / (2 pi). Even terms of
-    dimension >= 4 are taken from :func:`equicorrelated_orthant`, which
-    restricts d >= 5 to rho >= 0.
-    """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"recursion applies to odd dimensions >= 3, got {d}")
-    if not abs(rho) < 1.0:
-        raise ValueError(f"common correlation must satisfy |rho| < 1, got {rho!r}")
-    if d >= 5 and rho < 0.0:
-        raise ValueError("dimensions >= 5 require a non-negative common correlation")
-    values = {1: 0.5, 2: 0.25 + math.asin(rho) / _TWO_PI}
-    for dim in range(3, d + 1):
-        if dim % 2 == 0:
-            values[dim] = equicorrelated_orthant(rho, dim)
-        else:
-            acc = 1.0 - dim / 2.0
-            for k in range(2, dim):
-                acc += (-1) ** k * math.comb(dim, k) * values[k]
-            values[dim] = 0.5 * acc
-    return values[d]
-
-
 def _cholesky_with_jitter(r: np.ndarray) -> np.ndarray:
     for jitter in (0.0, 1e-14, 1e-12, 1e-10):
         try:
@@ -161,35 +133,30 @@ def orthants_mc(
     depends only on (seed, samples). Returns, per group, the estimate v and the
     binomial stderr sqrt(v (1 - v) / samples).
     """
-    return _sampled_orthants(validate_correlation_matrix(r), groups, samples, seed)
-
-
-def _sampled_orthants(r: np.ndarray, groups, samples, seed) -> list[tuple[float, float]]:
-    """:func:`orthants_mc` of a matrix already checked by :func:`validate_correlation_matrix`."""
+    r = validate_correlation_matrix(r)
     samples = count_argument(samples, "samples")
     d = r.shape[0]
     if d == 0:
         return [(1.0, 0.0)] * len(groups)
     chol = _cholesky_with_jitter(r)
-    counts = np.zeros(len(groups), dtype=np.int64)
 
-    def hits(rng: np.random.Generator, size: int) -> int:
+    def hits(rng: np.random.Generator, size: int) -> list[int]:
         # Row u hits a group when each signed coordinate is >= 0, -u when each is
         # <= 0 (both only if all are 0). z is (d, rows): each test reads one row.
         z = chol @ rng.standard_normal(((size + 1) // 2, d)).T
         at_least = {1: z >= 0.0, -1: z <= 0.0}  # sign * z >= 0
-        for g, group in enumerate(groups):
+        counts = []
+        for group in groups:
             up, down = np.ones((2, z.shape[1]), dtype=bool)
             for coordinate, sign in group:
                 up &= at_least[sign][coordinate]
                 down &= at_least[-sign][coordinate]
             if size % 2:
                 down[-1] = False  # an odd count stops before the last row's mirror
-            counts[g] += np.count_nonzero(up) + np.count_nonzero(down)
-        return 0  # counted per group above; seeded_fraction supplies the stream and chunks
+            counts.append(np.count_nonzero(up) + np.count_nonzero(down))
+        return counts
 
-    seeded_fraction(seed, samples, d, hits, per_row=2)
-    return [(v, math.sqrt(v * (1.0 - v) / samples)) for v in (int(c) / samples for c in counts)]
+    return seeded_fraction(seed, samples, d, hits, per_row=2)
 
 
 def orthant_mc(
@@ -203,8 +170,8 @@ def orthant_mc(
     is an upper bound: at most one sample of a pair lies in the orthant, so
     the estimator's is sqrt(v (1 - 2 v) / samples).
     """
-    r = validate_correlation_matrix(r)
-    return _sampled_orthants(r, [[(k, 1) for k in range(r.shape[0])]], samples, seed)[0]
+    d = np.shape(r)[0] if np.ndim(r) else 0  # orthants_mc rejects what is not a square matrix
+    return orthants_mc(r, [[(k, 1) for k in range(d)]], samples, seed)[0]
 
 
 def closed_orthant(r: np.ndarray) -> tuple[float, None, str] | None:
@@ -228,47 +195,3 @@ def closed_orthant(r: np.ndarray) -> tuple[float, None, str] | None:
     if rho is not None and rho >= 0.0:
         return equicorrelated_orthant(rho, d), None, "equicorrelated-integral"
     return None
-
-
-def orthant_zero_probability(
-    r: np.ndarray,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed=DEFAULT_SEED,
-) -> tuple[float, float | None, str]:
-    """(value, stderr, method) with all thresholds at zero: :func:`closed_orthant`, else Monte Carlo."""
-    return closed_orthant(r) or (*orthant_mc(r, mc_samples, mc_seed), "monte-carlo")
-
-
-def orthant_probability(
-    deltas,
-    r: np.ndarray,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    mc_seed=DEFAULT_SEED,
-) -> float:
-    """L-function with thresholds restricted to 0 and +/- infinity.
-
-    Any +inf threshold forces the value to 0. -inf thresholds are dropped and
-    the marginal correlation submatrix of the remaining coordinates is used;
-    what remains is an all-zero-threshold orthant problem. ``r`` must be a
-    valid correlation matrix in every dimension, else
-    :class:`CorrelationMatrixError` is raised.
-    """
-    mc_samples = count_argument(mc_samples, "mc_samples")
-    deltas = np.asarray(deltas, dtype=float)
-    r = validate_correlation_matrix(r)
-    if deltas.shape != (r.shape[0],):
-        raise ValueError(
-            f"got {deltas.shape[0] if deltas.ndim else 0} thresholds "
-            f"for a correlation matrix of dimension {r.shape[0]}"
-        )
-    if np.isnan(deltas).any():
-        raise ValueError("thresholds must not be NaN")
-    finite = np.isfinite(deltas)
-    if np.any(deltas[finite] != 0.0):
-        raise ValueError("finite thresholds must be exactly 0")
-    forced, kept = split_candidate(-np.sign(deltas))  # a +inf threshold is a lost pairing
-    if forced is not None:
-        return forced
-    sub = r[np.ix_(kept, kept)]  # a principal submatrix of a valid matrix is valid
-    positive = [[(k, 1) for k in range(len(kept))]]
-    return (closed_orthant(sub) or _sampled_orthants(sub, positive, mc_samples, mc_seed)[0])[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from condorcet import Culture
+from condorcet import Culture, equicorrelated_orthant
 from condorcet.culture import _dual_permutation
 
 
@@ -20,3 +20,16 @@ def random_dual_culture(rng: np.random.Generator, m: int = 3) -> Culture:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1729)
+
+
+def bacon_recursion(rho: float, d: int) -> float:
+    """Equicorrelated orthant probability at odd d >= 3 from the lower dimensions.
+
+    L_d = (1/2) [1 - d/2 + sum_{k=2}^{d-1} (-1)^k C(d, k) L_k], with L_1 = 1/2,
+    L_2 = 1/4 + arcsin(rho) / (2 pi) and the even L_k, k >= 4, from the integral.
+    """
+    values = {1: 0.5, 2: 0.25 + math.asin(rho) / (2 * math.pi)}
+    for dim in range(3, d + 1):
+        terms = ((-1) ** k * math.comb(dim, k) * values[k] for k in range(2, dim))
+        values[dim] = equicorrelated_orthant(rho, dim) if dim % 2 == 0 else 0.5 * sum(terms, 1.0 - dim / 2.0)
+    return values[d]

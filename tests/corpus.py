@@ -81,7 +81,7 @@ def command_lines() -> list[list[str]]:
     for fmt in FORMATS:
         f = ["--format", fmt]
         for m in range(3, 9):
-            lines += [["limit", "--culture", "ic", "--m", str(m), *f], ["limit", "--culture", "cyclic", "--m", str(m), *f]]
+            lines += [["limit", "--culture", name, "--m", str(m), *f] for name in ("ic", "cyclic")]
             sampled = ["--samples", "2000", "--seed", "3"] if m >= 5 else []  # Monte Carlo terms from d = 4
             lines.append(["limit", "--culture", f"dc:dual{m}.csv", *sampled, *f])
         lines += [["limit", "--culture", "rand5.csv", "--samples", "3001", "--seed", "1", *f],
@@ -119,7 +119,8 @@ def command_lines() -> list[list[str]]:
               ["limit", "--culture", "text.json"], ["limit", "--culture", "sum.json"],
               ["limit", "--culture", "missing.csv"], ["limit", "--culture", "rand4.json", "--m", "5"],
               ["limit", "--culture", "one3.csv", "--tol", "1"], ["classify", "--culture", "ic", "--m", "4"],
-              ["exact", "--culture", "ic", "--m", "5", "--n", "9"], ["exact", "--culture", "ic", "--m", "3", "--n", "0"],
+              ["exact", "--culture", "ic", "--m", "5", "--n", "9"],
+              ["exact", "--culture", "ic", "--m", "3", "--n", "0"],
               ["mc", "--culture", "ic", "--m", "3", "--n", "5", "--trials", "0"],
               ["mc", "--culture", "ic", "--m", "3", "--n", "5-3"], ["min-table", "--m", "3", "--n", "0"],
               ["ic-curve", "--m", "1"], ["audit", "--samples", "inf"], ["audit", "--samples", "100", "--seed", "-2"],

@@ -11,12 +11,9 @@ from condorcet import (
     DegenerateVarianceError,
     Method,
     audit_table1,
-    bacon_recursion,
     orthant_mc,
-    orthant_probability,
     case7_culture,
     case17_culture,
-    classify_deltas,
     classify_m3,
     correlation_matrix,
     cyclic_minimizer_culture,
@@ -33,7 +30,7 @@ from condorcet import (
     sign_pattern_culture,
 )
 from condorcet.core import DEFAULT_SEED
-from conftest import random_culture, random_dual_culture
+from conftest import bacon_recursion, random_culture, random_dual_culture
 
 NEG = -math.inf
 POS = math.inf
@@ -146,31 +143,41 @@ class TestCorrelationMatrix:
         assert compared >= 1
 
 
+def thresholds(culture: Culture, tol: float = 1e-12) -> dict[tuple[int, int], float]:
+    """The integration threshold of each ordered pair (i, j), read from the limit's terms."""
+    terms = limiting_probability(culture, tol=tol).detail["terms"]
+    rivals = [[j for j in range(culture.m) if j != t["candidate"]] for t in terms]
+    return {(t["candidate"], j): float(x) for t, js in zip(terms, rivals) for j, x in zip(js, t["deltas"])}
+
+
 class TestClassifyDeltas:
     def test_impartial_all_zero(self):
-        deltas = classify_deltas(lambda_matrix(impartial_culture(3)))
+        deltas = thresholds(impartial_culture(3))
         assert set(deltas.values()) == {0.0}
 
     def test_cyclic_pattern(self):
-        deltas = classify_deltas(lambda_matrix(cyclic_minimizer_culture(3)))
+        deltas = thresholds(cyclic_minimizer_culture(3))
         assert deltas[(0, 2)] == POS
         assert deltas[(0, 1)] == NEG
         assert deltas[(1, 2)] == NEG
 
     def test_tolerance_window(self):
-        lam = np.array([[0.0, 5e-13], [-5e-13, 0.0]])
-        assert classify_deltas(lam, tol=1e-12)[(0, 1)] == 0.0
-        assert classify_deltas(lam, tol=1e-14)[(0, 1)] == NEG
+        c = Culture(2, np.array([0.5 + 2.5e-13, 0.5 - 2.5e-13]))
+        assert lambda_matrix(c)[0, 1] == pytest.approx(5e-13, rel=1e-3)
+        assert thresholds(c, tol=1e-12)[(0, 1)] == 0.0
+        assert thresholds(c, tol=1e-14)[(0, 1)] == NEG
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            classify_deltas(np.zeros((2, 2)), tol=-1.0)
-        with pytest.raises(ValueError):
-            classify_deltas(np.zeros((2, 2)), tol=math.nan)
+        for evaluate in (limiting_probability, classify_m3):
+            with pytest.raises(ValueError):
+                evaluate(impartial_culture(3), tol=-1.0)
+            with pytest.raises(ValueError):
+                evaluate(impartial_culture(3), tol=math.nan)
 
     def test_nan_margin_rejected(self):
+        # a culture with a NaN entry is refused, so no margin can be NaN
         with pytest.raises(ValueError, match="NaN"):
-            classify_deltas(np.array([[0.0, math.nan], [math.nan, 0.0]]))
+            Culture(2, np.array([math.nan, 1.0]))
 
 
 class TestLimitingProbability:
@@ -285,8 +292,6 @@ class TestLimitingProbability:
             limiting_probability(impartial_culture(3), mc_samples=1.5)
         with pytest.raises(ValueError, match="mc_samples"):
             limiting_probability(cyclic_minimizer_culture(3), mc_samples=True)
-        with pytest.raises(ValueError, match="mc_samples"):
-            orthant_probability([0, 0], np.eye(2), mc_samples=1.5)
 
     def test_term_sum_at_most_one(self, rng):
         for _ in range(50):
