@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from condorcet import TABLE1, case7_culture, case17_culture, sign_pattern_culture
-from condorcet.cli import main
+from condorcet import cli
 
 CORPUS = Path(__file__).with_name("corpus.json")
 MAX_ULPS = 4
@@ -131,15 +131,14 @@ def command_lines() -> list[list[str]]:
 
 def run(argv: list[str]) -> dict:
     """The entry of one command line, run in the current directory."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    text = out.getvalue()
-    if "--out" in argv and os.path.exists(argv[argv.index("--out") + 1]):
-        text += Path(argv[argv.index("--out") + 1]).read_text()
+    written = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    text = out.getvalue() + (written.read_text() if written and written.exists() else "")
     entry = {"argv": argv, "exit": code, "stdout": text}
     if "--seed" in argv:
         entry["numpy"] = np.__version__
@@ -147,6 +146,7 @@ def run(argv: list[str]) -> dict:
 
 
 def run_all() -> list[dict]:
+    """The entries of all command lines, run in a temporary directory with the culture files."""
     with tempfile.TemporaryDirectory() as folder:
         here = os.getcwd()
         os.chdir(folder)
@@ -158,9 +158,9 @@ def run_all() -> list[dict]:
 
 
 def _ordered(x: float) -> int:
-    """An integer that counts the doubles from 0 upward; negative doubles below 0."""
+    """The double's rank among the doubles: +0.0 is 0, -0.0 is -1, and neighbours differ by 1."""
     bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF) - 1
 
 
 def distance(expected: dict, actual: dict) -> float:
@@ -185,7 +185,7 @@ def regression(entry: dict, ulps: float) -> bool:
     return ulps > MAX_ULPS and entry.get("numpy", np.__version__) == np.__version__
 
 
-def main_(args: list[str]) -> int:
+def main(args: list[str]) -> int:
     if args == ["--update"]:
         CORPUS.write_text("".join(json.dumps(e) + "\n" for e in run_all()))
         return 0
@@ -194,12 +194,14 @@ def main_(args: list[str]) -> int:
         return 2
     failed = 0
     for entry, ulps in moved():
-        note = "" if regression(entry, ulps) or ulps <= MAX_ULPS else f" (numpy {entry['numpy']} -> {np.__version__})"
         failed += regression(entry, ulps)
-        print(f"{'text or exit code' if ulps == math.inf else f'{ulps} ulp'}{note}: {' '.join(entry['argv'])}")
+        size = "text or exit code" if ulps == math.inf else f"{ulps} ulp"
+        recorded = entry.get("numpy", np.__version__)
+        stream = "" if recorded == np.__version__ else f" (recorded under numpy {recorded})"
+        print(f"{size}{stream}: {' '.join(entry['argv'])}")
     print(f"{failed} moved beyond {MAX_ULPS} ulp")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_(sys.argv[1:]))
+    sys.exit(main(sys.argv[1:]))

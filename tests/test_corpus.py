@@ -14,6 +14,8 @@ def test_every_command_line_prints_what_the_corpus_holds():
 
 def test_distance_counts_ulps_and_flags_any_other_change():
     entry = {"exit": 0, "stdout": "0.1,x,-0.0\n"}
-    assert corpus.distance(entry, {"exit": 0, "stdout": f"{math.nextafter(0.1, 1)},x,0.0\n"}) == 1
+    assert corpus.distance(entry, {"exit": 0, "stdout": f"{math.nextafter(0.1, 1)},x,-0.0\n"}) == 1
+    assert corpus.distance(entry, {"exit": 0, "stdout": "0.1,x,0.0\n"}) == 1
+    assert corpus.distance(entry, {"exit": 0, "stdout": "0.1,x,-5e-324\n"}) == 1
     assert corpus.distance(entry, {"exit": 0, "stdout": "0.1,y,-0.0\n"}) == math.inf
     assert corpus.distance(entry, {"exit": 1, "stdout": "0.1,x,-0.0\n"}) == math.inf
