@@ -341,9 +341,12 @@ def audit_table1(samples: int = DEFAULT_MC_SAMPLES, seed: int = DEFAULT_SEED) ->
 
     For each sign pattern a culture realizing it is constructed, classified,
     and its tabulated value compared with a direct simulation of the
-    three-term orthant decomposition (4-sigma criterion). Rows whose terms are
-    all forced to 0 or 1 by infinite thresholds have zero stderr and must
-    match exactly. Deterministic for a fixed seed.
+    three-term orthant decomposition (4-sigma criterion). The stderr is that
+    of the estimate if the formula holds, sqrt(sum L_i (1 - L_i) / samples)
+    over the closed values L_i of the terms, so it is not 0 when every sample
+    of a term falls on one side. Rows whose terms are all forced to 0 or 1 by
+    infinite thresholds have zero stderr and must match exactly.
+    Deterministic for a fixed seed.
     """
     seed = seed_argument(seed, "seed")
     results = []
@@ -355,12 +358,12 @@ def audit_table1(samples: int = DEFAULT_MC_SAMPLES, seed: int = DEFAULT_SEED) ->
             raise AssertionError(
                 f"constructed culture for row {row.number} classified as {number}"
             )
-        draws = [
-            (forced, 0.0) if sub is None else orthant_mc(sub, samples, seed=(seed, row.number, i))
+        mc_total = sum(
+            forced if sub is None else orthant_mc(sub, samples, seed=(seed, row.number, i))[0]
             for i, (forced, sub, _) in enumerate(parts)
-        ]
-        mc_total = sum(estimate for estimate, _ in draws)
-        mc_stderr = math.sqrt(sum(stderr**2 for _, stderr in draws))
+        )
+        closed = [closed_orthant(sub)[0] for _, sub, _ in parts if sub is not None]
+        mc_stderr = math.sqrt(sum(v * (1.0 - v) for v in closed) / samples)
         passed = abs(formula_value - mc_total) <= 4.0 * mc_stderr  # equality at zero stderr
         results.append(
             Table1AuditRow(row.number, row.signs, formula_value, mc_total, mc_stderr, passed)

@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_parse_count,
         default=DEFAULT_COMPOSITION_BUDGET,
-        help="refuse when n voters have more vote-count compositions over the support than this",
+        help="refuse when n voters have more vote-count compositions over the support than this; "
+        "the order walk visits under twice that many states, and the voter walk (a few voters "
+        "over more orders) expands at most n times that many",
     )
     p.set_defaults(func=_cmd_exact)
 

@@ -1,11 +1,11 @@
 """Finite-electorate computations on vote-count profiles.
 
 Covers winner determination for a concrete profile, the exact probability that
-a winner exists under a culture (an order-by-order convolution over pairwise
-tally states), tie probabilities for even electorates, and the closed-form
-minimum winner probability attained by the cyclic culture. Binomial
-probabilities follow C. Loader, "Fast and Accurate Computation of Binomial
-Probabilities" (2000).
+a winner exists under a culture (a convolution over pairwise tally states,
+voter by voter for a few voters and order by order otherwise), tie
+probabilities for even electorates, and the closed-form minimum winner
+probability attained by the cyclic culture. Binomial probabilities follow
+C. Loader, "Fast and Accurate Computation of Binomial Probabilities" (2000).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,7 +39,12 @@ _STIRLERR = (
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Requested exact computation exceeds the composition budget or a 63-bit state."""
+    """Requested exact computation exceeds the composition budget or a 63-bit state.
+
+    The budget bounds the compositions C(n+s-1, s-1) of n voters over s orders:
+    the order walk visits fewer than twice that many states, and the voter walk
+    expands at most n times that many candidates.
+    """
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,9 @@ def _tally_basis(
     all-ones row and of the pairs kept before them. Returns the kept pairs and,
     per pair q, integers (D, c_0, ..., c_P) with D w_q = c_0 t + sum_p c_(p+1) w_p.
     """
-    tally_rows = np.vstack([np.ones(len(support), np.int64), pair_signs(m)[list(support)].T > 0])
-    # A Gram matrix's rows obey the same linear relations as the rows it is built from.
-    rows = (tally_rows @ tally_rows.T).tolist()
+    tally_rows = np.vstack([np.ones(len(support)), pair_signs(m)[list(support)].T > 0])
+    # A Gram matrix's rows obey the rows' linear relations; its float counts (< 2**53) are exact.
+    rows = (tally_rows @ tally_rows.T).astype(np.int64).tolist()
     size = len(rows)
     echelon, kept, decode = [], [], []
     for index, row in enumerate(rows):
@@ -116,6 +121,9 @@ def _tally_basis(
 
 
 _BLOCK = 1 << 20  # candidate states expanded at once while fewer states are merged
+# The voter walk takes n <= 4 voters over s > n orders when (n - 1) times the basis size is at
+# most 30 and it expands at most 2**20 candidates: where it was faster on random supports.
+_VOTER_WALK_MAX_N = 4
 
 
 def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,40 +139,51 @@ def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[first], np.add.reduceat(weights, first)
 
 
-def _take(
-    keys: np.ndarray,
-    weights: np.ndarray,
-    left: np.ndarray,
-    step: np.int64,
-    log_fact: np.ndarray,
-    log_k: np.ndarray,
-    log_rest: np.ndarray,
+def _expand(
+    keys: np.ndarray, weights: np.ndarray, counts: np.ndarray,
+    grow: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     merge: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merged states after one order takes k of the ``left`` voters of each state.
+    """Merged states after state i turns into ``counts[i]`` candidates.
 
-    Taking k of big voters has probability C(big, k) q^k (1 - q)^(big - k), from
-    ``log_k`` = log k! - k log q and ``log_rest`` = log k! - k log(1 - q). Blocks of
-    states are expanded in turn, so memory follows the number of merged states.
+    ``grow(keys, weights, counts)`` returns the candidates of a block of states.
+    A block holds at most about max(``_BLOCK``, merged states) candidates, so
+    memory follows the number of merged states.
     """
-    counts = left + 1
     ends = np.cumsum(counts)
     lo, merged = 0, (keys[:0], weights[:0])
     while lo < keys.size:
         cap = ends[lo] - counts[lo] + max(_BLOCK, merged[0].size)
         hi = max(lo + 1, int(np.searchsorted(ends, cap, "right")))
-        block = counts[lo:hi]
-        k = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
-        big = np.repeat(left[lo:hi], block)
-        pmf = log_fact[big] - log_k[k]
-        pmf -= log_rest[big - k]
-        new = np.repeat(keys[lo:hi], block) + (k * step).astype(keys.dtype)
-        new = np.concatenate((merged[0], new))
-        mass = np.concatenate((merged[1], np.repeat(weights[lo:hi], block) * np.exp(pmf, out=pmf)))
-        del k, big, pmf, merged
+        new, mass = map(np.concatenate, zip(merged, grow(keys[lo:hi], weights[lo:hi], counts[lo:hi])))
+        del merged
         merged = merge(new, mass)
         lo = hi
     return merged
+
+
+def _take(
+    step: np.int64, log_fact: np.ndarray, log_k: np.ndarray, log_rest: np.ndarray,
+    keys: np.ndarray, weights: np.ndarray, block: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates after one order takes k = 0 .. block - 1 of the voters left in each state.
+
+    Taking k of big voters has probability C(big, k) q^k (1 - q)^(big - k), from
+    ``log_k`` = log k! - k log q and ``log_rest`` = log k! - k log(1 - q).
+    """
+    k = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
+    big = np.repeat(block - 1, block)
+    pmf = log_fact[big] - log_k[k]
+    pmf -= log_rest[big - k]
+    new = np.repeat(keys, block) + (k * step).astype(keys.dtype)
+    return new, np.repeat(weights, block) * np.exp(pmf, out=pmf)
+
+
+def _vote(
+    steps: np.ndarray, probs: np.ndarray, keys: np.ndarray, weights: np.ndarray, _: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates after one more voter casts order j, with probability ``probs[j]``."""
+    return (keys[:, None] + steps).ravel(), (weights[:, None] * probs).ravel()
 
 
 def exact_winner_probability(
@@ -175,21 +194,25 @@ def exact_winner_probability(
 ) -> WinnerProbability:
     """Exact probability that a winner exists among n independent voters.
 
-    Places the voters order by order over the culture's support (orders with
-    zero probability are pruned): order j takes k of the voters left with the
-    binomial probability of k given that none of them chose an earlier order,
-    the last order takes the rest, and states with equal tallies merge. A
-    state packs the voters placed and the tallies of the pairs of
-    :func:`_tally_basis` as base-(n+1) digits into one unsigned integer. The
-    value is the winning mass over ``detail["total_mass"]``, so the weights'
-    log-factorial rounding cancels; it is deterministic and bit-identical across runs.
+    Walks the culture's support (orders with zero probability are pruned). A
+    few voters over more orders (see ``_VOTER_WALK_MAX_N``) are placed one at
+    a time: each casts order j with probability p_j, and states with equal
+    tallies merge after each voter. Otherwise they are placed order by order:
+    order j takes k of the voters left with the binomial probability of k
+    given that none of them chose an earlier order, the last order takes the
+    rest, and states with equal tallies merge. A state packs the voters placed
+    and the tallies of the pairs of :func:`_tally_basis` as base-(n+1) digits
+    into one unsigned integer. The value is the winning mass over
+    ``detail["total_mass"]``, so the weights' rounding cancels; it is
+    deterministic and bit-identical across runs.
 
     Raises
     ------
     EnumerationBudgetError
         If the number of compositions of n over the support exceeds ``budget``
-        (fewer than twice that many states are visited), or if a state needs
-        more than 63 bits.
+        (the order walk visits fewer than twice that many states, the voter
+        walk expands at most n times that many candidates), or if a state
+        needs more than 63 bits.
     """
     n = count_argument(n, "voter count")
     support = culture.support()
@@ -208,33 +231,39 @@ def exact_winner_probability(
     place = base ** np.arange(digits, dtype=np.uint64)
     steps = place[0] + place[1:] @ (pair_signs(culture.m)[np.ix_(support, basis)].T > 0)
     probs = culture.probs[support]
-    # Order j's share of the probability of orders j, j + 1, ... (the last order needs none).
-    q = (probs / np.cumsum(probs[::-1])[::-1])[:-1, None]
-    ramp = np.arange(n + 1 if s > 1 else 1)  # a single order needs no tables
-    log_fact = np.fromiter(map(math.lgamma, range(1, ramp.size + 1)), float, ramp.size)
-    with np.errstate(divide="ignore", invalid="ignore"):  # q can round to 1: log(1 - q) = -inf
-        k_log_rest = np.where(ramp > 0, ramp * np.log1p(-q), 0.0)  # 0 log 0 = 0
-    log_k, log_rest = log_fact - ramp * np.log(q), log_fact - k_log_rest
-    # With s affinely independent orders no state is reached twice, so none merge.
-    merge = _merge if digits < s else lambda keys, weights: (keys, weights)
     keys, weights = np.zeros(1, dtype=np.min_scalar_type(base**digits - 1)), np.ones(1)
-    placed, parts, pending = (keys[:0], weights[:0]), [], 0
-    for j, step in enumerate(steps.astype(np.int64)):
-        left = n - (keys % base).astype(np.intp)
-        if j < s - 1:
-            keys, weights = _take(keys, weights, left, step, log_fact, log_k[j], log_rest[j], merge)
-        else:  # the last order takes every voter left
-            keys = keys + (left * step).astype(keys.dtype)
-        # States with every voter placed leave the walk; later orders take none of them.
-        done = keys % base == n
-        parts.append((keys[done], weights[done]))
-        keys, weights = keys[~done], weights[~done]
-        pending += parts[-1][0].size
-        if j == s - 1 or pending > max(_BLOCK, placed[0].size):
-            placed = merge(*map(np.concatenate, zip(placed, *parts)))
-            parts, pending = [], 0
-    keys, weights = placed
-    del placed
+    few_voters = n <= _VOTER_WALK_MAX_N and n < s and (n - 1) * len(basis) <= 30
+    if few_voters and n * n_compositions <= 1 << 20:
+        vote = partial(_vote, steps.astype(keys.dtype), probs)
+        for _ in range(n):
+            keys, weights = _expand(keys, weights, np.full(keys.size, s), vote, _merge)
+    else:
+        # Order j's share of the probability of orders j, j + 1, ... (the last order needs none).
+        q = (probs / np.cumsum(probs[::-1])[::-1])[:-1, None]
+        ramp = np.arange(n + 1 if s > 1 else 1)  # a single order needs no tables
+        log_fact = np.fromiter(map(math.lgamma, range(1, ramp.size + 1)), float, ramp.size)
+        with np.errstate(divide="ignore", invalid="ignore"):  # q can round to 1: log(1 - q) = -inf
+            k_log_rest = np.where(ramp > 0, ramp * np.log1p(-q), 0.0)  # 0 log 0 = 0
+        log_k, log_rest = log_fact - ramp * np.log(q), log_fact - k_log_rest
+        # With s affinely independent orders no state is reached twice, so none merge.
+        merge = _merge if digits < s else lambda keys, weights: (keys, weights)
+        placed, parts, pending = (keys[:0], weights[:0]), [], 0
+        for j, step in enumerate(steps.astype(np.int64)):
+            left = n - (keys % base).astype(np.intp)
+            if j < s - 1:
+                take = partial(_take, step, log_fact, log_k[j], log_rest[j])
+                keys, weights = _expand(keys, weights, left + 1, take, merge)
+            else:  # the last order takes every voter left
+                keys = keys + (left * step).astype(keys.dtype)
+            # States with every voter placed leave the walk; later orders take none of them.
+            done = keys % base == n
+            parts.append((keys[done], weights[done]))
+            keys, weights = keys[~done], weights[~done]
+            pending += parts[-1][0].size
+            if j == s - 1 or pending > max(_BLOCK, placed[0].size):
+                placed = merge(*map(np.concatenate, zip(placed, *parts)))
+                parts, pending = [], 0
+        keys, weights = placed
 
     tallies = {0: n}
     for i, pair in enumerate(basis):

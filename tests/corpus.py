@@ -106,6 +106,7 @@ def command_lines() -> list[list[str]]:
                   ["audit", "--samples", "1e4", "--seed", "1", *f],
                   ["audit", "--samples", "6", "--seed", "0", *f]]
     lines += [["audit", "--samples", "10001", "--seed", "2", "--format", "csv"],
+              ["audit", "--samples", "1", "--seed", "0", "--format", "csv"],
               ["limit", "--culture", "dual6.csv", "--samples", "1000", "--seed", "5", "--out", "out.json",
                "--format", "json"],
               ["culture", "--culture", "ic", "--m", "4", "--out", "ic4.csv"],
@@ -124,7 +125,6 @@ def command_lines() -> list[list[str]]:
               ["mc", "--culture", "ic", "--m", "3", "--n", "5", "--trials", "0"],
               ["mc", "--culture", "ic", "--m", "3", "--n", "5-3"], ["min-table", "--m", "3", "--n", "0"],
               ["ic-curve", "--m", "1"], ["audit", "--samples", "inf"], ["audit", "--samples", "100", "--seed", "-2"],
-              ["audit", "--samples", "1", "--seed", "0", "--format", "csv"],
               ["culture", "--culture", "ic", "--m", "3", "--out", "no/such/dir.csv"], ["unknown"]]
     return lines + errors
 

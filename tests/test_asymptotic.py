@@ -357,30 +357,37 @@ class TestTable1Data:
         assert kinds.count("sum3") == 1
 
     def test_audit_rows_pinned(self):
-        # audit_table1 keeps orthant_mc's stream per (seed, row, candidate)
+        # audit_table1 keeps orthant_mc's stream per (seed, row, candidate); the stderr is
+        # sqrt(sum L (1 - L) / samples) over the terms' closed values L
         rows = audit_table1(samples=20_001, seed=3)
         assert [(r.number, r.mc_value, r.mc_stderr) for r in rows if r.mc_stderr > 0] == [
-            (1, 0.9121043947802611, 0.005633547925830992),
-            (2, 0.8106094695265236, 0.004817149321623954),
-            (3, 0.808059597020149, 0.0048121997035056275),
-            (4, 0.8084095795210239, 0.0048127973542959855),
-            (5, 0.8061596920153992, 0.004808290353980348),
-            (6, 0.5000249987500625, 0.003535445516480649),
-            (7, 1.0, 0.004999874998438085),
-            (8, 0.4999750012499375, 0.003535445516480649),
-            (10, 0.5000249987500625, 0.003535445516480649),
-            (12, 1.0, 0.004999874998438085),
-            (13, 0.4999750012499375, 0.003535445516480649),
-            (18, 0.8038598070096494, 0.004803726439835265),
-            (19, 0.8036598170091496, 0.004803215818036527),
-            (21, 0.4999750012499375, 0.003535445516480649),
-            (22, 0.4999750012499375, 0.003535445516480649),
-            (25, 1.0, 0.004999874998438085),
+            (1, 0.9121043947802611, 0.005633925024934517),
+            (2, 0.8106094695265236, 0.004804138364657729),
+            (3, 0.808059597020149, 0.004804138364657729),
+            (4, 0.8084095795210239, 0.004804138364657729),
+            (5, 0.8061596920153992, 0.004804138364657729),
+            (6, 0.5000249987500625, 0.003535445520899514),
+            (7, 1.0, 0.004999875004687304),
+            (8, 0.4999750012499375, 0.003535445520899514),
+            (10, 0.5000249987500625, 0.003535445520899514),
+            (12, 1.0, 0.004999875004687304),
+            (13, 0.4999750012499375, 0.003535445520899514),
+            (18, 0.8038598070096494, 0.004804138364657729),
+            (19, 0.8036598170091496, 0.004804138364657729),
+            (21, 0.4999750012499375, 0.003535445520899514),
+            (22, 0.4999750012499375, 0.003535445520899514),
+            (25, 1.0, 0.004999875004687304),
         ]
         assert [(r.number, r.mc_value) for r in rows if r.mc_stderr == 0] == [
             (9, 1.0), (11, 1.0), (14, 1.0), (15, 1.0), (16, 1.0), (17, 0.0),
             (20, 1.0), (23, 1.0), (24, 0.0), (26, 1.0), (27, 1.0),
         ]
+
+    def test_audit_passes_at_one_sample(self):
+        # Every term's estimate is 0 or 1; the stderr comes from the terms' closed values.
+        rows = audit_table1(samples=1, seed=0)
+        assert all(r.passed for r in rows)
+        assert [r.number for r in rows if r.mc_stderr == 0] == [9, 11, 14, 15, 16, 17, 20, 23, 24, 26, 27]
 
     def test_audit_small_sample(self):
         rows = audit_table1(samples=100_000, seed=77)

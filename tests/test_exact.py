@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,42 @@ def rational_culture(m: int, weights) -> Culture:
 
 
 SPARSE4_WEIGHTS = [3, 0, 0, 1, 0, 4, 0, 0, 1, 0, 0, 5, 0, 0, 9, 0, 0, 0, 0, 2, 0, 0, 0, 6]
+
+
+def support_culture(m: int, s: int, seed: int, alpha: float = 1.0) -> Culture:
+    """Dirichlet(alpha) weights on s orders drawn at random, zero on the others."""
+    rng = np.random.default_rng(seed)
+    probs = np.zeros(math.factorial(m))
+    probs[rng.choice(probs.size, s, replace=False)] = rng.dirichlet(np.full(s, alpha))
+    return Culture(m, probs)
+
+
+def walk_cultures(m: int) -> list[Culture]:
+    """Uniform, Dirichlet(1), Dirichlet(0.05) and sparse (3m orders at most) cultures."""
+    k = math.factorial(m)
+    return [impartial_culture(m), support_culture(m, k, m), support_culture(m, k, m, alpha=0.05),
+            support_culture(m, min(k, 3 * m), m)]
+
+
+def two_voter_weak_oracle(culture: Culture) -> float:
+    """Weak winner probability of two voters, over the s^2 ordered pairs of supported orders.
+
+    A candidate is a weak winner of two voters when each rival is ranked below
+    it by at least one of them. ``beats[k, c]`` has bit d set where order k
+    ranks c at or above d, so c wins the pair (k, l) when the two masks cover
+    every candidate.
+    """
+    m = culture.m
+    support = np.flatnonzero(culture.probs)
+    position = np.argsort(np.array(enumerate_rank_orders(m))[support], axis=1)
+    beats = ((position[:, :, None] <= position[:, None, :]) << np.arange(m)).sum(axis=2)
+    won = ((beats[:, None, :] | beats[None, :, :]) == (1 << m) - 1).any(axis=2)
+    p = culture.probs[support]
+    return math.fsum((np.outer(p, p) * won).ravel())
+
+
+# (m, s) of the random supports on which the voter walk was timed against the order walk.
+WALK_GRID = [(3, 6), (4, 8), (4, 12), (4, 16), (4, 24), (5, 10), (5, 20), (5, 40), (6, 30), (6, 120)]
 
 
 class TestCondorcetWinner:
@@ -277,7 +314,12 @@ class TestExactWinnerProbability:
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_expansion_in_blocks_matches_one_block(self, monkeypatch, block):
-        cultures = [(impartial_culture(3), 9), (rational_culture(4, SPARSE4_WEIGHTS), 6)]
+        # The first two walk order by order, the others voter by voter. The last moves by an ulp
+        # with the block size: _merge's argsort is not stable, so copies of a key add up in an
+        # order that depends on where blocks end.
+        cultures = [(impartial_culture(3), 9), (rational_culture(4, SPARSE4_WEIGHTS), 6),
+                    (impartial_culture(4), 3), (rational_culture(4, SPARSE4_WEIGHTS), 4),
+                    (support_culture(5, 20, 3), 4)]
         whole = [exact_winner_probability(c, n) for c, n in cultures]
         monkeypatch.setattr(exact_module, "_BLOCK", block)
         for (c, n), expected in zip(cultures, whole):
@@ -330,6 +372,61 @@ class TestExactWinnerProbability:
         # Order 0's share 1 / (1 + 2e-20) rounds to 1, so log(1 - q) = -inf meets k = 0.
         p[[3, 5]] = 1e-20
         assert exact_winner_probability(Culture(3, p), 9).value == 1.0
+
+
+class TestVoterWalk:
+    """A few voters over more orders are placed one voter at a time."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_closed_forms(self, m):
+        orders = enumerate_rank_orders(m)
+        for c in walk_cultures(m):
+            for mode in WinnerMode:
+                assert exact_winner_probability(c, 1, mode).value == 1.0
+            if np.count_nonzero(c.probs) > 720:
+                continue  # two voters over 5040 orders take seconds a job, on the order walk
+            # Two voters have a strong winner only if both rank it first.
+            top = [math.fsum(p for o, p in zip(orders, c.probs) if o[0] == cand) for cand in range(m)]
+            strong = exact_winner_probability(c, 2).value
+            assert abs(strong - math.fsum(t * t for t in top)) <= 1e-14
+            weak = exact_winner_probability(c, 2, WinnerMode.WEAK).value
+            assert abs(weak - two_voter_weak_oracle(c)) <= 1e-14
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (4, 4), (5, 3), (6, 2), (7, 1), (8, 1)])
+    def test_uniform_total_mass_is_one(self, m, n):
+        for k in range(1, n + 1):
+            r = exact_winner_probability(impartial_culture(m), k)
+            assert abs(r.detail["total_mass"] - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("m,s", WALK_GRID)
+    def test_matches_order_walk(self, monkeypatch, m, s):
+        c = support_culture(m, s, 100 * m + s)
+        # Beyond 2**20 candidates in all, both sides would walk order by order.
+        jobs = [
+            (n, mode) for n in range(1, 5) for mode in WinnerMode if n * math.comb(n + s - 1, n) <= 2**20
+        ]
+        voter = [exact_winner_probability(c, n, mode) for n, mode in jobs]
+        monkeypatch.setattr(exact_module, "_VOTER_WALK_MAX_N", 0)  # every job walks order by order
+        for (n, mode), r in zip(jobs, voter):
+            expected = exact_winner_probability(c, n, mode)
+            assert abs(r.value - expected.value) <= 1e-14
+            assert r.detail["states"] == expected.detail["states"]
+            # The culture's probabilities sum to 1 within a few ulp, and the mass is that sum ** n.
+            assert abs(r.detail["total_mass"] - math.fsum(c.probs) ** n) <= 1e-15
+
+    def test_peak_memory_uniform_m6_n2(self):
+        # 518 400 candidates of 4-byte keys and 8-byte weights, merged by an 8-byte argsort and
+        # a gather of the weights, peak at 14 MB; an 8-byte key or one more copy would pass 16 MB.
+        c = impartial_culture(6)
+        exact_winner_probability(c, 1)  # the cached sign table and tally basis are not part of the walk
+        tracemalloc.start()
+        try:
+            r = exact_winner_probability(c, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.value == 1 / 6 and r.detail["states"] == 129_183
+        assert peak < 16 * 2**20
 
 
 class TestMinimumBound:
