@@ -58,12 +58,22 @@ def _random_probs(m: int, seed: int, dual: bool) -> list[float]:
     return [w / total for w in weights]
 
 
+def _support_probs(m: int, s: int, seed: int) -> list[float]:
+    """Random weights on s of the m! orders, drawn as in :func:`_random_probs`, zero on the others."""
+    rng = random.Random(seed)
+    chosen = set(rng.sample(range(math.factorial(m)), s))
+    weights = [rng.random() if k in chosen else 0.0 for k in range(math.factorial(m))]
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
 def write_cultures(folder: Path) -> None:
     """The culture files that the corpus's command lines name."""
     for m in range(3, 9):
         _write(folder / f"dual{m}.csv", m, _random_probs(m, m, dual=True))
     for m in (3, 4, 5):
         _write(folder / f"rand{m}.csv", m, _random_probs(m, 100 + m, dual=False))
+    _write(folder / "support4.csv", 4, _support_probs(4, 8, 48))
     (folder / "rand4.json").write_text(json.dumps({"m": 4, "probs": _random_probs(4, 7, dual=False)}))
     for row in TABLE1:
         _write(folder / f"sign{row.number}.csv", 3, sign_pattern_culture(row.signs).probs.tolist())
@@ -113,6 +123,14 @@ def command_lines() -> list[list[str]]:
               ["culture", "--culture", "rand5.csv", "--out", "rand5.json"],
               ["culture", "--culture", "rand4.json", "--out", "copy.txt", "--format", "csv"],
               ["exact", "--culture", "ic", "--m", "3", "--n", "5"],
+              # State keys of 16 bits (n = 15) and 32 bits (n = 16), a decode with no merge, wide keys
+              # on both walks, and a tally above 2**31.
+              ["exact", "--culture", "ic", "--m", "3", "--n", "15", "--mode", "weak", "--format", "json"],
+              ["exact", "--culture", "ic", "--m", "3", "--n", "16", "--format", "json"],
+              ["exact", "--culture", "cyclic", "--m", "5", "--n", "31", "--format", "json"],
+              ["exact", "--culture", "support4.csv", "--n", "7", "--mode", "weak", "--format", "json"],
+              ["exact", "--culture", "ic", "--m", "6", "--n", "2", "--format", "json"],
+              ["exact", "--culture", "one3.csv", "--n", "3000000000", "--format", "json"],
               ["limit", "--culture", "sign14.csv", "--tol", "0.5", "--format", "json"]]
     errors = [["limit", "--culture", "ic"], ["limit", "--culture", "ic", "--m", "3", "--tol", "-1"],
               ["limit", "--culture", "ic", "--m", "3", "--seed", "-1"], ["limit", "--culture", "dc:rand4.csv"],
