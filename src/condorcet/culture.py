@@ -95,9 +95,12 @@ def order_index(order) -> int:
 
 
 @lru_cache(maxsize=None)
-def _dual_permutation(m: int) -> tuple[int, ...]:
+def _dual_permutation(m: int) -> np.ndarray:
+    """The index of each order's reversal: a cached, read-only intp array."""
     index = _order_index_map(m)
-    return tuple(index[tuple(reversed(o))] for o in enumerate_rank_orders(m))
+    dual = np.array([index[tuple(reversed(o))] for o in enumerate_rank_orders(m)], dtype=np.intp)
+    dual.flags.writeable = False
+    return dual
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +191,7 @@ def cyclic_minimizer_culture(m: int) -> Culture:
 
 def is_dual_culture(culture: Culture) -> bool:
     """True when every rank order and its reversal carry equal probability."""
-    dual = np.array(_dual_permutation(culture.m))
+    dual = _dual_permutation(culture.m)
     return bool(np.all(np.abs(culture.probs - culture.probs[dual]) <= DUAL_TOL))
 
 

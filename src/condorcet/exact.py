@@ -126,13 +126,29 @@ _BLOCK = 1 << 20  # candidate states expanded at once while fewer states are mer
 _VOTER_WALK_MAX_N = 4
 
 
-def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in ascending order, each with the summed weight of its copies.
+_Parts = list[tuple[np.ndarray, np.ndarray]]  # (keys, weights) pairs of states; a merge empties the list
 
-    Sorts ``keys`` in place.
+
+def _concatenate(parts: _Parts) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and weights of ``parts``, joined in order; the list is emptied, freeing the parts."""
+    keys, weights = map(np.concatenate, zip(*parts))
+    parts.clear()
+    return keys, weights
+
+
+def _merge(parts: _Parts) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys of ``parts`` in ascending order, each with the summed weight of its copies.
+
+    One argsort's permutation gathers the keys and then the weights. No caller
+    holds the parts, so each unsorted array is freed once it is gathered. Keys
+    of 16 bits or less take numpy's stable sort, a radix sort for them and 3-5
+    times faster than the default introsort. Wider keys take the default:
+    there the stable sort is a timsort, up to 2 times slower on the voter
+    walk's candidates and no faster on the order walk's.
     """
-    order = np.argsort(keys)
-    keys.sort()
+    keys, weights = _concatenate(parts)
+    order = np.argsort(keys, kind="stable" if keys.itemsize <= 2 else None)
+    keys = keys[order]
     weights = weights[order]
     del order
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -142,24 +158,23 @@ def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _expand(
     keys: np.ndarray, weights: np.ndarray, counts: np.ndarray,
     grow: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    merge: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    merge: Callable[[_Parts], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merged states after state i turns into ``counts[i]`` candidates.
 
-    ``grow(keys, weights, counts)`` returns the candidates of a block of states.
-    A block holds at most about max(``_BLOCK``, merged states) candidates, so
+    ``grow(keys, weights, counts)`` returns the candidates of a block of states,
+    and ``merge`` takes the merged states and those candidates. A block holds at most about max(``_BLOCK``, merged states) candidates, so
     memory follows the number of merged states.
     """
     ends = np.cumsum(counts)
-    lo, merged = 0, (keys[:0], weights[:0])
+    lo, merged = 0, [(keys[:0], weights[:0])]
     while lo < keys.size:
-        cap = ends[lo] - counts[lo] + max(_BLOCK, merged[0].size)
+        cap = ends[lo] - counts[lo] + max(_BLOCK, merged[0][0].size)
         hi = max(lo + 1, int(np.searchsorted(ends, cap, "right")))
-        new, mass = map(np.concatenate, zip(merged, grow(keys[lo:hi], weights[lo:hi], counts[lo:hi])))
-        del merged
-        merged = merge(new, mass)
+        merged.append(grow(keys[lo:hi], weights[lo:hi], counts[lo:hi]))
+        merged = [merge(merged)]
         lo = hi
-    return merged
+    return merged[0]
 
 
 def _take(
@@ -231,7 +246,8 @@ def exact_winner_probability(
     place = base ** np.arange(digits, dtype=np.uint64)
     steps = place[0] + place[1:] @ (pair_signs(culture.m)[np.ix_(support, basis)].T > 0)
     probs = culture.probs[support]
-    keys, weights = np.zeros(1, dtype=np.min_scalar_type(base**digits - 1)), np.ones(1)
+    # The type holds every key and, for one order's single digit, the base that ``keys % base`` uses.
+    keys, weights = np.zeros(1, dtype=np.min_scalar_type(max(base**digits - 1, base))), np.ones(1)
     few_voters = n <= _VOTER_WALK_MAX_N and n < s and (n - 1) * len(basis) <= 30
     if few_voters and n * n_compositions <= 1 << 20:
         vote = partial(_vote, steps.astype(keys.dtype), probs)
@@ -246,8 +262,8 @@ def exact_winner_probability(
             k_log_rest = np.where(ramp > 0, ramp * np.log1p(-q), 0.0)  # 0 log 0 = 0
         log_k, log_rest = log_fact - ramp * np.log(q), log_fact - k_log_rest
         # With s affinely independent orders no state is reached twice, so none merge.
-        merge = _merge if digits < s else lambda keys, weights: (keys, weights)
-        placed, parts, pending = (keys[:0], weights[:0]), [], 0
+        merge = _merge if digits < s else _concatenate
+        placed, pending = [(keys[:0], weights[:0])], 0  # the states with every voter placed, in parts
         for j, step in enumerate(steps.astype(np.int64)):
             left = n - (keys % base).astype(np.intp)
             if j < s - 1:
@@ -257,27 +273,46 @@ def exact_winner_probability(
                 keys = keys + (left * step).astype(keys.dtype)
             # States with every voter placed leave the walk; later orders take none of them.
             done = keys % base == n
-            parts.append((keys[done], weights[done]))
+            placed.append((keys[done], weights[done]))
             keys, weights = keys[~done], weights[~done]
-            pending += parts[-1][0].size
-            if j == s - 1 or pending > max(_BLOCK, placed[0].size):
-                placed = merge(*map(np.concatenate, zip(placed, *parts)))
-                parts, pending = [], 0
-        keys, weights = placed
+            pending += placed[-1][0].size
+            if j == s - 1 or pending > max(_BLOCK, placed[0][0].size):
+                placed, pending = [merge(placed)], 0
+        keys, weights = placed[0]
 
-    tallies = {0: n}
-    for i, pair in enumerate(basis):
-        tallies[pair + 1] = (keys // place[i + 1] % base).astype(np.min_scalar_type(n))
-    # Margins 2 w - n lie in [-n, n]; a type sized from -2n also holds +n.
-    margins = np.empty((keys.size, len(decode)), dtype=np.min_scalar_type(-2 * n), order="F")
-    for col, (d, *coeffs) in enumerate(decode):
-        tally = sum(np.int64(c) * tallies[g] for g, c in enumerate(coeffs) if c)
-        margins[:, col] = 2 * (tally // d) - n
+    margins = _margins(keys, n, basis, decode)
     exists = winners_mask(margins, culture.m, mode.margin_threshold).any(axis=0)
     total = weights.sum()
     detail = {"compositions": n_compositions, "support_size": s}
     detail.update(total_mass=float(total), states=int(keys.size))
     return WinnerProbability(float(weights[exists].sum() / total), Method.EXACT, detail=detail)
+
+
+def _margins(
+    keys: np.ndarray, n: int, basis: tuple[int, ...], decode: tuple[tuple[int, ...], ...]
+) -> np.ndarray:
+    """The (N, P) pair margins 2 w - n of final states, from their keys and :func:`_tally_basis`.
+
+    Each base-(n + 1) digit costs one floor division by a scalar in the keys'
+    own type and a multiply-subtract for the remainder, about twice as fast as
+    ``np.divmod``. The tallies combine in the narrowest signed type that holds
+    n times the largest sum of a decode row's absolute entries, and 2n: that
+    bounds every term, partial sum and quotient, so every admitted job is exact.
+    """
+    bound = n * max(2, *(sum(map(abs, row)) for row in decode))
+    dtype = np.min_scalar_type(-bound - 1)  # object, so Python ints, beyond 64 bits
+    base = keys.dtype.type(n + 1)
+    rest, tallies = keys // base, {0: n}  # digit 0 counts the voters placed: n in every final state
+    for pair in basis:
+        quotient = rest // base
+        rest -= quotient * base
+        tallies[pair + 1], rest = rest.astype(dtype), quotient
+    # Margins 2 w - n lie in [-n, n]; a type sized from -2n also holds +n.
+    margins = np.empty((keys.size, len(decode)), dtype=np.min_scalar_type(-2 * n), order="F")
+    for col, (d, *coeffs) in enumerate(decode):
+        tally = sum(tallies[g] if c == 1 else dtype.type(c) * tallies[g] for g, c in enumerate(coeffs) if c)
+        margins[:, col] = 2 * (tally if d == 1 else tally // d) - n
+    return margins
 
 
 def _stirlerr(n: int) -> float:

@@ -13,8 +13,7 @@ def random_culture(rng: np.random.Generator, m: int = 3) -> Culture:
 
 def random_dual_culture(rng: np.random.Generator, m: int = 3) -> Culture:
     q = rng.dirichlet(np.ones(math.factorial(m)))
-    dual = np.array(_dual_permutation(m))
-    return Culture(m, (q + q[dual]) / 2.0)
+    return Culture(m, (q + q[_dual_permutation(m)]) / 2.0)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import condorcet.exact as exact_module
+from condorcet.exact import _merge
 from condorcet import (
     Culture,
     EnumerationBudgetError,
@@ -306,17 +307,21 @@ class TestExactWinnerProbability:
             assert r.detail["states"] == n + 1
 
     def test_single_order_at_large_n(self):
+        # One order's key is n alone, so its type must hold n + 1 as well (n = 255, 65 535 and
+        # 2**32 - 1); 2n beyond 2**63 needs Python integers.
         probs = np.zeros(24)
         probs[5] = 1.0
-        r = exact_winner_probability(Culture(4, probs), 10**9)
-        assert r.value == 1.0
-        assert r.detail["states"] == 1
+        for n in (255, 65_535, 2**32 - 1, 10**9, 3_000_000_000, 2**63 - 2):
+            for mode in WinnerMode:
+                r = exact_winner_probability(Culture(4, probs), n, mode)
+                assert r.value == 1.0
+                assert r.detail["states"] == 1
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_expansion_in_blocks_matches_one_block(self, monkeypatch, block):
         # The first two walk order by order, the others voter by voter. The last moves by an ulp
-        # with the block size: _merge's argsort is not stable, so copies of a key add up in an
-        # order that depends on where blocks end.
+        # with the block size: _merge's argsort of keys wider than 16 bits is not stable, so copies
+        # of a key add up in an order that depends on where blocks end.
         cultures = [(impartial_culture(3), 9), (rational_culture(4, SPARSE4_WEIGHTS), 6),
                     (impartial_culture(4), 3), (rational_culture(4, SPARSE4_WEIGHTS), 4),
                     (support_culture(5, 20, 3), 4)]
@@ -416,7 +421,8 @@ class TestVoterWalk:
 
     def test_peak_memory_uniform_m6_n2(self):
         # 518 400 candidates of 4-byte keys and 8-byte weights, merged by an 8-byte argsort and
-        # a gather of the weights, peak at 14 MB; an 8-byte key or one more copy would pass 16 MB.
+        # gathers of the keys and the weights, each freeing the unsorted array, peak at 14 MB; an
+        # 8-byte key or one more copy would pass 16 MB.
         c = impartial_culture(6)
         exact_winner_probability(c, 1)  # the cached sign table and tally basis are not part of the walk
         tracemalloc.start()
@@ -427,6 +433,89 @@ class TestVoterWalk:
             tracemalloc.stop()
         assert r.value == 1 / 6 and r.detail["states"] == 129_183
         assert peak < 16 * 2**20
+
+
+def merge_reference(keys: np.ndarray, weights: np.ndarray) -> tuple[list[int], list[float], list[int]]:
+    """Per distinct key, ascending: the key, the correctly rounded sum of its weights, its copies."""
+    runs: dict[int, list[float]] = {}
+    for key, weight in zip(keys.tolist(), weights.tolist()):
+        runs.setdefault(key, []).append(weight)
+    distinct = sorted(runs)
+    return distinct, [math.fsum(runs[k]) for k in distinct], [len(runs[k]) for k in distinct]
+
+
+CYCLIC5 = tuple(cyclic_minimizer_culture(5).support().tolist())
+
+
+def profile_margins(m: int, support, counts) -> list[int]:
+    """Pair margins of a profile, in Python integers, from the orders' candidate positions."""
+    orders = enumerate_rank_orders(m)
+    margins = []
+    for a, b in itertools.combinations(range(m), 2):
+        signs = [1 if orders[k].index(a) < orders[k].index(b) else -1 for k in support]
+        margins.append(sum(sign * count for sign, count in zip(signs, counts)))
+    return margins
+
+
+class TestMergeAndDecode:
+    """The walk's bookkeeping against a per-key ``math.fsum`` and Python-integer margins."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_merge_matches_fsum_per_key(self, dtype):
+        rng = np.random.default_rng(np.dtype(dtype).itemsize)
+        top = np.iinfo(dtype).max
+        pool = np.r_[np.array([top, 0, top - 1], dtype=dtype), rng.integers(0, top, 400, dtype=dtype)]
+        for distinct, size in [(1, 1), (1, 9), (3, 7), (40, 5000), (300, 100_000)]:
+            keys = rng.choice(np.unique(pool[:distinct]), size)
+            # Multiples of 2**-40 below 2**-20 sum exactly in any order; random floats round.
+            for weights, exact_sums in [(rng.integers(1, 2**20, size) * 2.0**-40, True), (rng.random(size), False)]:
+                expected_keys, sums, copies = merge_reference(keys, weights)
+                half = size // 2  # in two parts, as a walk passes them
+                got_keys, got = _merge([(keys[:half], weights[:half]), (keys[half:], weights[half:])])
+                assert got_keys.dtype == dtype and got_keys.tolist() == expected_keys
+                if exact_sums:
+                    assert got.tolist() == sums
+                else:
+                    # c positive terms, summed in any order, lie within (c - 1) u of their sum, and
+                    # math.fsum within u: c u of it (u = eps / 2) bounds the distance. One or two
+                    # copies take at most one rounding, as math.fsum does.
+                    sums, copies = np.array(sums), np.array(copies)
+                    assert np.all(np.abs(got - sums) <= copies * np.finfo(float).eps / 2 * sums)
+                    assert np.array_equal(got[copies <= 2], sums[copies <= 2])
+
+    def test_merge_empties_the_list_and_leaves_the_parts(self):
+        # The walks hand their states over in a list, so that no caller holds them while they sort.
+        keys, weights = np.array([5, 1, 5, 0], dtype=np.uint16), np.array([0.25, 0.5, 0.125, 1.0])
+        parts = [(keys[:2], weights[:2]), (keys[2:], weights[2:])]
+        got_keys, got = _merge(parts)
+        assert parts == [] and got_keys.tolist() == [0, 1, 5] and got.tolist() == [1.0, 0.5, 0.375]
+        assert keys.tolist() == [5, 1, 5, 0] and weights.tolist() == [0.25, 0.5, 0.125, 1.0]
+
+    # (m, support, n, key bytes): uint64 keys up to 2**63 - 1 with tallies above 2**31 and the
+    # cyclic m = 5 culture's coefficients of 3, and single orders, whose key is n alone, up to
+    # 2**63 - 2, where 2n needs Python integers.
+    @pytest.mark.parametrize("m,support,n,key_bytes", [
+        (3, (0, 5), 15, 1), (3, tuple(range(6)), 15, 2), (3, tuple(range(6)), 255, 4),
+        (4, tuple(range(0, 24, 3)), 40, 8), (5, CYCLIC5, 6207, 8), (3, (0, 5), 3_037_000_498, 8),
+        (3, (0,), 255, 2), (3, (0,), 3_000_000_000, 4), (3, (0,), 2**63 - 2, 8),
+    ])
+    def test_decode_matches_python_integers(self, m, support, n, key_bytes):
+        basis, decode = exact_module._tally_basis(m, support)
+        base, digits = n + 1, len(basis) + 1
+        assert base**digits <= 2**63
+        rng = np.random.default_rng(n)
+        # Every voter on one order (the extreme digits), then random profiles.
+        profiles = [[n * (k == j) for k in range(len(support))] for j in range(len(support))]
+        profiles += rng.multinomial(n, rng.dirichlet(np.ones(len(support))), 200).tolist()
+        expected = [profile_margins(m, support, counts) for counts in profiles]
+        packed = []
+        for margins in expected:
+            tallies = [(margins[pair] + n) // 2 for pair in basis]
+            packed.append(n + sum(w * base ** (i + 1) for i, w in enumerate(tallies)))
+        keys = np.array(packed, dtype=np.min_scalar_type(max(base**digits - 1, base)))
+        assert keys.itemsize == key_bytes and keys.tolist() == packed
+        got = exact_module._margins(keys, n, basis, decode)
+        assert got.tolist() == expected
 
 
 class TestMinimumBound:
