@@ -116,5 +116,6 @@ __all__ = [
     "pair_signs",
     "pairwise_win_probability",
     "save_culture",
+    "sign_pattern_culture",
     "tie_probability",
 ]

@@ -39,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_SEED, Method, WinnerProbability, count_argument, seed_argument, split_candidate
-from .culture import Culture, pair_signs
+from .core import DEFAULT_SEED, Method, WinnerProbability, split_candidate
+from .culture import Culture, count_argument, integer_argument, pair_signs, seed_argument
 from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, gauss_legendre, orthant_mc, orthants_mc
 
 _TWO_PI = 2.0 * math.pi
@@ -120,8 +120,7 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     +/-1 within 1e-12 (zero variance; the pair must be handled through its
     +/-inf threshold instead).
     """
-    if not 0 <= i < culture.m:
-        raise ValueError(f"candidate out of range for m={culture.m}: {i}")
+    i = integer_argument(i, "candidate i", 0, culture.m, f"in [0, {culture.m - 1}]")
     return _correlation_submatrix(culture, i, _rivals(culture.m, i), lambda_matrix(culture))
 
 
@@ -288,22 +287,19 @@ def _table1_value(signs: list[list[int]], parts: list) -> tuple[int, float]:
     return row.number, value
 
 
-def sign_pattern_culture(signs: tuple[int, int, int], magnitude: float = 0.12) -> Culture:
-    """Three-candidate culture whose expected margins realize a sign pattern.
+def sign_pattern_culture(signs: tuple[int, int, int]) -> Culture:
+    """Three-candidate culture whose expected margins are 0.12 times a sign pattern.
 
     Starts from the uniform culture and adds the minimum-norm perturbation
-    whose margins equal ``magnitude`` times the requested signs. Magnitudes up
-    to ~0.2 keep every order probability positive.
+    whose margins equal 0.12 times the requested signs; every order keeps a
+    probability of at least 1/6 - 0.06.
     """
     if len(signs) != 3 or any(s not in (-1, 0, 1) for s in signs):
         raise ValueError(f"signs must be a triple over {{-1, 0, 1}}, got {signs!r}")
-    target = magnitude * np.asarray(signs, dtype=float)
+    target = 0.12 * np.asarray(signs, dtype=float)
     coeffs = pair_signs(3).T.astype(float)  # margins of pairs (0,1), (0,2), (1,2) per order
     gram = coeffs @ coeffs.T
-    probs = np.full(6, 1.0 / 6.0) + coeffs.T @ np.linalg.solve(gram, target)
-    if probs.min() <= 0.0:
-        raise ValueError(f"magnitude {magnitude!r} pushes a probability below zero")
-    return Culture(3, probs)
+    return Culture(3, np.full(6, 1.0 / 6.0) + coeffs.T @ np.linalg.solve(gram, target))
 
 
 def case7_culture() -> Culture:
@@ -404,8 +400,7 @@ def ic_limit_closed(m: int) -> float:
     dimension gives them to rounding: the values agree with
     :func:`ic_limit_sampford` within 1e-14.
     """
-    if not 3 <= m <= 7:
-        raise ValueError(f"closed forms cover m in [3, 7], got {m}")
+    m = integer_argument(m, "candidate count", 3, 8, "in [3, 7]")
     a = _ARCSIN_THIRD
     if m == 3:
         return 0.75 + 3.0 * a / _TWO_PI
@@ -430,16 +425,14 @@ def ic_limit_sampford(m: int) -> float:
     for m <= 4, the equicorrelated integral above; the range rule is that of
     WinnerProbability.
     """
-    if m < 2:
-        raise ValueError(f"candidate count must be >= 2, got {m}")
+    m = integer_argument(m, "candidate count", 2, math.inf, ">= 2")
     value = m * closed_orthant((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0]
     return WinnerProbability(value, Method.LIMIT).value
 
 
 def may_bound(m: int) -> float:
     """Decreasing upper bound 2 pi sqrt(2) / sqrt(2m + 1) on the uniform limit."""
-    if m < 2:
-        raise ValueError(f"candidate count must be >= 2, got {m}")
+    m = integer_argument(m, "candidate count", 2, math.inf, ">= 2")
     return _TWO_PI * math.sqrt(2.0) / math.sqrt(2.0 * m + 1.0)
 
 

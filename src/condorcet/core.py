@@ -1,4 +1,4 @@
-"""The per-candidate winner condition, the result type and the argument checks.
+"""The per-candidate winner condition, the result type and the seeded sampler.
 
 All three methods work on the P = m(m-1)/2 signed margins of the pairs of
 ``culture.candidate_pairs`` (the columns of ``culture.pair_signs``) and ask
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,33 +92,6 @@ def split_candidate(signs) -> tuple[float | None, list[int]]:
         return 0.0, []
     kept = [k for k, s in enumerate(signs) if s == 0]
     return (None if kept else 1.0), kept
-
-
-def integer_argument(value, name: str, low: int, high: float, rule: str) -> int:
-    """``value`` as an int in [low, high), numpy integers too; else a ValueError.
-
-    Bools and floats are not integers here; an out-of-range value's message
-    says it must be ``rule``.
-    """
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not low <= number < high:
-        raise ValueError(f"{name} must be {rule}, got {number}")
-    return number
-
-
-def count_argument(value, name: str) -> int:
-    """``value`` as a positive int (numpy integers too; not bools or floats), else a ValueError."""
-    return integer_argument(value, name, 1, math.inf, ">= 1")
-
-
-def seed_argument(value, name: str) -> int:
-    """``value`` as an int in [0, 2**64), else a ValueError; as :func:`count_argument`."""
-    return integer_argument(value, name, 0, 2**64, "an unsigned 64-bit integer")
 
 
 def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) -> list[tuple[float, float]]:

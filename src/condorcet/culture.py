@@ -7,6 +7,11 @@ with that canonical indexing (index 0 is always (0, 1, ..., m-1)). Every
 method starts from one (K, P) table, each order's +/-1 preference on each
 pair of :func:`candidate_pairs` (:func:`pair_signs`).
 
+Every integer argument of the public API (a candidate count, a candidate, a
+voter or sample count, a seed, a budget) passes one rule,
+:func:`integer_argument`: an int or numpy integer within the argument's range
+is taken as an int, anything else raises ValueError.
+
 Cultures are validated strictly: entries must be finite, non-negative and sum
 to one within 1e-12. Inputs that fail are rejected, never renormalized, so data
 errors surface at the boundary instead of being averaged away.
@@ -27,6 +32,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -43,32 +49,58 @@ class CultureFormatError(ValueError):
     """A culture file or probability vector failed validation."""
 
 
-def _check_candidate_count(m: int) -> None:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"candidate count must be an integer, got {m!r}")
-    if not MIN_CANDIDATES <= m <= MAX_CANDIDATES:
-        raise ValueError(
-            f"candidate count must be in [{MIN_CANDIDATES}, {MAX_CANDIDATES}], got {m}"
-        )
+def integer_argument(value, name: str, low: int, high: float, rule: str) -> int:
+    """``value`` as an int in [low, high), numpy integers too; else a ValueError.
+
+    The one rule for every integer argument of the public API. Bools, floats
+    and strings are not integers here; an out-of-range value's message says it
+    must be ``rule``.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= number < high:
+        raise ValueError(f"{name} must be {rule}, got {number}")
+    return number
+
+
+def count_argument(value, name: str) -> int:
+    """``value`` as a positive int, else a ValueError; as :func:`integer_argument`."""
+    return integer_argument(value, name, 1, math.inf, ">= 1")
+
+
+def seed_argument(value, name: str) -> int:
+    """``value`` as an int in [0, 2**64), else a ValueError; as :func:`integer_argument`."""
+    return integer_argument(value, name, 0, 2**64, "an unsigned 64-bit integer")
+
+
+def candidate_count_argument(value) -> int:
+    """``value`` as a candidate count m in [2, 8], else a ValueError; as :func:`integer_argument`."""
+    return integer_argument(
+        value, "candidate count", MIN_CANDIDATES, MAX_CANDIDATES + 1, f"in [{MIN_CANDIDATES}, {MAX_CANDIDATES}]"
+    )
 
 
 def _validate_order(order) -> tuple[int, ...]:
-    o = tuple(int(c) for c in order)
-    _check_candidate_count(len(o))
-    if sorted(o) != list(range(len(o))):
-        raise ValueError(f"not a permutation of 0..{len(o) - 1}: {order!r}")
+    order = tuple(order)
+    m = candidate_count_argument(len(order))
+    o = tuple(integer_argument(c, "candidate", 0, m, f"in [0, {m - 1}]") for c in order)
+    if len(set(o)) != m:
+        raise ValueError(f"not a permutation of 0..{m - 1}: {order!r}")
     return o
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would find the entry of np.int64(3)
 def enumerate_rank_orders(m: int) -> tuple[tuple[int, ...], ...]:
     """Return all m! rank orders of m candidates in lexicographic order.
 
     The position of an order in this sequence is its canonical index; every
     culture probability vector is aligned with it.
     """
-    _check_candidate_count(m)
-    return tuple(itertools.permutations(range(m)))
+    return tuple(itertools.permutations(range(candidate_count_argument(m))))
 
 
 @lru_cache(maxsize=None)
@@ -103,13 +135,14 @@ def _dual_permutation(m: int) -> np.ndarray:
     return dual
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def candidate_pairs(m: int) -> tuple[tuple[int, int], ...]:
     """The P = m(m-1)/2 pairs (i, j), i < j, in row-major order: (0, 1), (0, 2), ..., (m-2, m-1)."""
+    m = candidate_count_argument(m)
     return tuple((i, j) for i in range(m) for j in range(i + 1, m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pair_signs(m: int) -> np.ndarray:
     """The (K, P) int8 sign table: [k, p] is +1 where order k ranks pair p's first candidate higher, else -1.
 
@@ -117,7 +150,7 @@ def pair_signs(m: int) -> np.ndarray:
     and C-contiguous; cast it to int64 before scaling by vote counts.
     """
     # int8 throughout: the m = 8 table is 1.1 MB, one int64 copy would be 9 MB.
-    first, second = np.array(candidate_pairs(m)).T
+    first, second = np.array(candidate_pairs(m)).T  # candidate_pairs checks m
     positions = np.argsort(np.array(enumerate_rank_orders(m), dtype=np.int8), axis=1).astype(np.int8)
     above = np.take(positions, first, axis=1) < np.take(positions, second, axis=1)  # C-ordered, unlike [:, first]
     signs = np.where(above, np.int8(1), np.int8(-1))
@@ -138,7 +171,7 @@ class Culture:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_candidate_count(self.m)
+        object.__setattr__(self, "m", candidate_count_argument(self.m))
         p = np.array(self.probs, dtype=float)
         k = math.factorial(self.m)
         if p.shape != (k,):
@@ -159,10 +192,6 @@ class Culture:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
-    @property
-    def n_orders(self) -> int:
-        return self.probs.shape[0]
-
     def support(self) -> np.ndarray:
         """Indices of rank orders carrying non-zero probability."""
         return np.nonzero(self.probs > 0.0)[0]
@@ -170,8 +199,7 @@ class Culture:
 
 def impartial_culture(m: int) -> Culture:
     """The uniform culture: every rank order has probability 1/m!."""
-    _check_candidate_count(m)
-    k = math.factorial(m)
+    k = math.factorial(candidate_count_argument(m))
     return Culture(m, np.full(k, 1.0 / k))
 
 
@@ -181,7 +209,7 @@ def cyclic_minimizer_culture(m: int) -> Culture:
     This culture minimizes the winner probability over all cultures for every
     number of voters.
     """
-    _check_candidate_count(m)
+    m = candidate_count_argument(m)
     probs = np.zeros(math.factorial(m))
     for shift in range(m):
         rotation = tuple((shift + off) % m for off in range(m))
@@ -197,10 +225,11 @@ def is_dual_culture(culture: Culture) -> bool:
 
 def pairwise_win_probability(culture: Culture, i: int, j: int) -> float:
     """Probability that a single voter ranks candidate i above candidate j."""
+    rule = f"in [0, {culture.m - 1}]"
+    i = integer_argument(i, "candidate i", 0, culture.m, rule)
+    j = integer_argument(j, "candidate j", 0, culture.m, rule)
     if i == j:
         raise ValueError("candidates must be distinct")
-    if not (0 <= i < culture.m and 0 <= j < culture.m):
-        raise ValueError(f"candidate out of range for m={culture.m}: ({i}, {j})")
     column = pair_signs(culture.m)[:, candidate_pairs(culture.m).index((min(i, j), max(i, j)))]
     return float(culture.probs[column > 0 if i < j else column < 0].sum())
 
@@ -222,13 +251,11 @@ def culture_from_json(text: str) -> Culture:
         raise CultureFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or set(obj) != {"m", "probs"}:
         raise CultureFormatError('expected a JSON object with keys "m" and "probs"')
-    m, probs = obj["m"], obj["probs"]
-    if not isinstance(m, int):
-        raise CultureFormatError(f'field "m" must be an integer, got {m!r}')
     try:
-        _check_candidate_count(m)  # rejects true and false too
+        m = candidate_count_argument(obj["m"])
     except ValueError as exc:
         raise CultureFormatError(str(exc)) from None
+    probs = obj["probs"]
     if not isinstance(probs, list):
         raise CultureFormatError('field "probs" must be a list of numbers')
     if set(map(type, probs)) - {int, float}:  # a string, null, bool or list

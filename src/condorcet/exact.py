@@ -17,15 +17,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import (
-    Method,
-    WinnerMode,
-    WinnerProbability,
-    count_argument,
-    integer_argument,
-    winners_mask,
-)
-from .culture import Culture, pair_signs
+from .core import Method, WinnerMode, WinnerProbability, winners_mask
+from .culture import Culture, candidate_count_argument, count_argument, integer_argument, pair_signs
 
 DEFAULT_COMPOSITION_BUDGET = 50_000_000
 
@@ -55,6 +48,7 @@ class VoterProfile:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", candidate_count_argument(self.m))
         k = math.factorial(self.m)
         if np.shape(self.counts) != (k,):
             raise ValueError(f"expected {k} counts for m={self.m}, got shape {np.shape(self.counts)}")
@@ -209,10 +203,12 @@ def exact_winner_probability(
 ) -> WinnerProbability:
     """Exact probability that a winner exists among n independent voters.
 
-    Walks the culture's support (orders with zero probability are pruned). A
-    few voters over more orders (see ``_VOTER_WALK_MAX_N``) are placed one at
-    a time: each casts order j with probability p_j, and states with equal
-    tallies merge after each voter. Otherwise they are placed order by order:
+    Walks the culture's support (orders with zero probability are pruned); a
+    single order needs no walk, since its first candidate wins every pairing
+    by n, so the value is 1.0 for every n in both modes. A few voters over
+    more orders (see ``_VOTER_WALK_MAX_N``) are placed one at a time: each
+    casts order j with probability p_j, and states with equal tallies merge
+    after each voter. Otherwise they are placed order by order:
     order j takes k of the voters left with the binomial probability of k
     given that none of them chose an earlier order, the last order takes the
     rest, and states with equal tallies merge. A state packs the voters placed
@@ -230,8 +226,12 @@ def exact_winner_probability(
         needs more than 63 bits.
     """
     n = count_argument(n, "voter count")
+    budget = count_argument(budget, "budget")
     support = culture.support()
     s = len(support)
+    if s == 1:  # every voter casts the one order, whose first candidate wins each pairing by n
+        detail = {"compositions": 1, "support_size": 1, "total_mass": 1.0, "states": 1}
+        return WinnerProbability(1.0, Method.EXACT, detail=detail)
     n_compositions = math.comb(n + s - 1, s - 1)
     basis, decode = _tally_basis(culture.m, tuple(support.tolist()))
     base, digits = n + 1, len(basis) + 1
@@ -246,8 +246,7 @@ def exact_winner_probability(
     place = base ** np.arange(digits, dtype=np.uint64)
     steps = place[0] + place[1:] @ (pair_signs(culture.m)[np.ix_(support, basis)].T > 0)
     probs = culture.probs[support]
-    # The type holds every key and, for one order's single digit, the base that ``keys % base`` uses.
-    keys, weights = np.zeros(1, dtype=np.min_scalar_type(max(base**digits - 1, base))), np.ones(1)
+    keys, weights = np.zeros(1, dtype=np.min_scalar_type(base**digits - 1)), np.ones(1)
     few_voters = n <= _VOTER_WALK_MAX_N and n < s and (n - 1) * len(basis) <= 30
     if few_voters and n * n_compositions <= 1 << 20:
         vote = partial(_vote, steps.astype(keys.dtype), probs)
@@ -256,7 +255,7 @@ def exact_winner_probability(
     else:
         # Order j's share of the probability of orders j, j + 1, ... (the last order needs none).
         q = (probs / np.cumsum(probs[::-1])[::-1])[:-1, None]
-        ramp = np.arange(n + 1 if s > 1 else 1)  # a single order needs no tables
+        ramp = np.arange(n + 1)
         log_fact = np.fromiter(map(math.lgamma, range(1, ramp.size + 1)), float, ramp.size)
         with np.errstate(divide="ignore", invalid="ignore"):  # q can round to 1: log(1 - q) = -inf
             k_log_rest = np.where(ramp > 0, ramp * np.log1p(-q), 0.0)  # 0 log 0 = 0
@@ -300,7 +299,7 @@ def _margins(
     bounds every term, partial sum and quotient, so every admitted job is exact.
     """
     bound = n * max(2, *(sum(map(abs, row)) for row in decode))
-    dtype = np.min_scalar_type(-bound - 1)  # object, so Python ints, beyond 64 bits
+    dtype = np.min_scalar_type(-bound - 1)  # at most int64: with two or more orders, n < 2**32
     base = keys.dtype.type(n + 1)
     rest, tallies = keys // base, {0: n}  # digit 0 counts the voters placed: n in every final state
     for pair in basis:

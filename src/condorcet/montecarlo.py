@@ -27,12 +27,10 @@ from .core import (
     Method,
     WinnerMode,
     WinnerProbability,
-    count_argument,
-    seed_argument,
     seeded_fraction,
     winners_mask,
 )
-from .culture import Culture, pair_signs
+from .culture import Culture, count_argument, integer_argument, pair_signs, seed_argument
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,7 @@ def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerP
     the trial count or the number of orders. ``n`` must be an int in
     [1, 2**63), numpy integers included; bools and floats raise ValueError.
     """
-    n = count_argument(n, "voter count")
-    if n >= 2**63:  # numpy's multinomial takes a C long
-        raise ValueError(f"voter count must be below 2**63, got {n}")
+    n = integer_argument(n, "voter count", 1, 2**63, ">= 1 and below 2**63")  # numpy's multinomial takes a C long
     support = culture.support()
     s = len(support)
     probs = culture.probs[support]

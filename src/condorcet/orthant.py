@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_SEED, count_argument, seeded_fraction
+from .core import DEFAULT_SEED, seeded_fraction
+from .culture import count_argument
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -92,8 +93,7 @@ def equicorrelated_orthant(rho: float, d: int) -> float:
     about 1000 nodes stay within 1.1e-16 of a 30-digit integral for rho up to
     1 - 1e-9 and d up to 20. Requires 0 <= rho < 1; rho = 1/3 gives a = 1.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = count_argument(d, "dimension")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"common correlation must be in [0, 1), got {rho!r}")
     a = math.sqrt(2.0 * rho / (1.0 - rho))

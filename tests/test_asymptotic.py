@@ -482,12 +482,8 @@ class TestSignPatternCulture:
         with pytest.raises(ValueError):
             sign_pattern_culture((2, 0, 0))
 
-    def test_rejects_oversized_magnitude(self):
-        with pytest.raises(ValueError):
-            sign_pattern_culture((1, 1, 1), magnitude=0.9)
-
     def test_hits_requested_margins(self):
-        lam = lambda_matrix(sign_pattern_culture((1, -1, 0), magnitude=0.1))
-        assert lam[0, 1] == pytest.approx(0.1, abs=1e-12)
-        assert lam[0, 2] == pytest.approx(-0.1, abs=1e-12)
+        lam = lambda_matrix(sign_pattern_culture((1, -1, 0)))
+        assert lam[0, 1] == pytest.approx(0.12, abs=1e-12)
+        assert lam[0, 2] == pytest.approx(-0.12, abs=1e-12)
         assert abs(lam[1, 2]) < 1e-12

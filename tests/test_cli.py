@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -14,7 +15,7 @@ from condorcet import (
     load_culture_file,
     save_culture,
 )
-from condorcet.cli import load_culture, main
+from condorcet.cli import _parse_int_list, load_culture, main
 from conftest import random_dual_culture
 
 
@@ -312,7 +313,7 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.strip().splitlines() == [
-            "condorcet: voter count must be below 2**63, got 99999999999999999999"
+            "condorcet: voter count must be >= 1 and below 2**63, got 99999999999999999999"
         ]
 
     def test_reversed_range_is_exit_2(self, capsys):
@@ -335,6 +336,11 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "tolerance" in err
+
+    def test_int_list_skips_empty_items_and_needs_one_integer(self):
+        assert _parse_int_list("3,,5") == [3, 5]
+        with pytest.raises(argparse.ArgumentTypeError, match="no integers in ','"):
+            _parse_int_list(",")
 
     def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"

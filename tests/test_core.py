@@ -1,10 +1,33 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from condorcet import Method, WinnerProbability
-from condorcet.core import seed_argument
+from condorcet import (
+    Culture,
+    McConfig,
+    Method,
+    VoterProfile,
+    WinnerProbability,
+    candidate_pairs,
+    correlation_matrix,
+    culture_from_json,
+    cyclic_minimizer_culture,
+    enumerate_rank_orders,
+    equicorrelated_orthant,
+    exact_winner_probability,
+    ic_limit_closed,
+    ic_limit_sampford,
+    impartial_culture,
+    may_bound,
+    mc_winner_probability,
+    order_index,
+    pair_signs,
+    pairwise_win_probability,
+)
+from condorcet.culture import seed_argument
 
 
 class TestWinnerProbabilityRange:
@@ -49,3 +72,64 @@ class TestSeedArgument:
     def test_rejects_everything_else_naming_the_argument(self, seed):
         with pytest.raises(ValueError, match="mc_seed"):
             seed_argument(seed, "mc_seed")
+
+
+IC3 = impartial_culture(3)
+# Entry point: (call with the integer argument, its name, a valid value, an int just out of range, the rule).
+INTEGER_ARGUMENTS = {
+    "Culture": (lambda x: Culture(x, np.full(6, 1 / 6)), "candidate count", 3, 9, "in [2, 8]"),
+    "VoterProfile": (lambda x: VoterProfile(x, np.zeros(6, dtype=int)), "candidate count", 3, 9, "in [2, 8]"),
+    "enumerate_rank_orders": (enumerate_rank_orders, "candidate count", 3, 1, "in [2, 8]"),
+    "impartial_culture": (impartial_culture, "candidate count", 3, 9, "in [2, 8]"),
+    "cyclic_minimizer_culture": (cyclic_minimizer_culture, "candidate count", 3, 1, "in [2, 8]"),
+    "culture_from_json": (
+        lambda x: culture_from_json(json.dumps({"m": x, "probs": [0.5, 0.5]}, default=int)),
+        "candidate count", 2, 9, "in [2, 8]",
+    ),
+    "candidate_pairs": (candidate_pairs, "candidate count", 8, 9, "in [2, 8]"),
+    "pair_signs": (pair_signs, "candidate count", 2, 1, "in [2, 8]"),
+    "order_index": (lambda x: order_index((0, x, 2)), "candidate", 1, 3, "in [0, 2]"),
+    "pairwise_win_probability-i": (lambda x: pairwise_win_probability(IC3, x, 2), "candidate i", 0, 3, "in [0, 2]"),
+    "pairwise_win_probability-j": (lambda x: pairwise_win_probability(IC3, 0, x), "candidate j", 1, -1, "in [0, 2]"),
+    "correlation_matrix": (lambda x: correlation_matrix(IC3, x), "candidate i", 2, 3, "in [0, 2]"),
+    "ic_limit_closed": (ic_limit_closed, "candidate count", 7, 8, "in [3, 7]"),
+    "ic_limit_sampford": (ic_limit_sampford, "candidate count", 2, 1, ">= 2"),
+    "may_bound": (may_bound, "candidate count", 2, 1, ">= 2"),
+    "equicorrelated_orthant": (lambda x: equicorrelated_orthant(0.3, x), "dimension", 1, 0, ">= 1"),
+    "mc_winner_probability": (
+        lambda x: mc_winner_probability(IC3, x, McConfig(trials=10)), "voter count", 2**63 - 1, 2**63,
+        ">= 1 and below 2**63",
+    ),
+    "exact_winner_probability-budget": (
+        lambda x: exact_winner_probability(IC3, 3, budget=x), "budget", 56, 0, ">= 1",
+    ),
+}
+
+
+class TestIntegerRule:
+    """Every integer argument of the public API takes ints and numpy integers in its range, nothing else."""
+
+    @pytest.mark.parametrize("value", [2.5, None, True, "3"], ids=["float", "whole-float", "bool", "str"])
+    @pytest.mark.parametrize("entry", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+    def test_non_integers_raise(self, entry, value):
+        call, name, valid, *_ = entry
+        if value is None:  # an untyped cache gives 3.0 the entry of np.int64(3)
+            call(np.int64(valid))
+            value = float(valid)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+    def test_numpy_integer_accepted(self, entry):
+        call, _, valid, _, _ = entry
+        call(np.int64(valid))
+
+    @pytest.mark.parametrize("entry", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+    def test_int_just_out_of_range_names_the_rule(self, entry):
+        call, name, _, outside, rule = entry
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {outside}')}$"):
+            call(outside)
+
+    def test_nan_budget_raises(self):
+        with pytest.raises(ValueError, match="^budget must be an integer, got nan$"):
+            exact_winner_probability(IC3, 3, budget=float("nan"))

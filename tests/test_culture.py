@@ -25,6 +25,7 @@ from condorcet import (
     order_index,
     pair_signs,
     pairwise_win_probability,
+    save_culture,
 )
 from condorcet.culture import _dual_permutation, _order_key_map
 from conftest import random_culture
@@ -329,6 +330,31 @@ class TestSerialization:
             culture_from_json("[1, 2]")
         with pytest.raises(CultureFormatError):
             culture_from_json('{"m": 3}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{", "invalid JSON: "), ('{"m": 2.0, "probs": [0.5, 0.5]}', "candidate count must be an integer, got 2.0"),
+         ('{"m": 2, "probs": {"0-1": 1.0}}', 'field "probs" must be a list of numbers')],
+        ids=["invalid", "float-m", "probs-not-a-list"],
+    )
+    def test_json_rejections(self, text, message):
+        with pytest.raises(CultureFormatError, match=re.escape(message)):
+            culture_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('"order","p"\n"0-1",0.5\n"1-0",0.5\n', 'expected CSV header "order,prob"'),
+         ('order,prob\n"0-1",0.5,0\n"1-0",0.5\n', "line 2: expected 2 fields, got 3")],
+        ids=["header", "three-fields"],
+    )
+    def test_quoted_csv_rejections(self, text, message):
+        with pytest.raises(CultureFormatError, match=f"^{re.escape(message)}$"):
+            culture_from_csv(text)
+
+    def test_save_rejects_an_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown culture format 'xml'"):
+            save_culture(impartial_culture(2), tmp_path / "c.xml", fmt="xml")
+        assert not (tmp_path / "c.xml").exists()
 
 
 def reference_culture_from_csv(text: str) -> Culture:

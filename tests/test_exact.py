@@ -85,10 +85,13 @@ def fraction_oracle(m: int, weights, n: int, mode=WinnerMode.STRONG) -> tuple[Fr
     seen = set()
     for bars in itertools.combinations(range(n + s - 1), s - 1):
         counts = [b - a - 1 for a, b in zip((-1, *bars), (*bars, n + s - 1))]
-        mass = math.factorial(n)
+        coefficient = math.factorial(n)  # the multinomial coefficient, in integers
+        for c in counts:
+            coefficient //= math.factorial(c)
+        mass = coefficient
         margins = [0] * (m * m)
         for k, c in zip(support, counts):
-            mass = mass // math.factorial(c) * weights[k] ** c
+            mass *= weights[k] ** c
             if c:
                 margins = [x + c * y for x, y in zip(margins, signs[k])]
         seen.add(tuple(margins))
@@ -283,6 +286,12 @@ class TestExactWinnerProbability:
         assert abs(r.detail["total_mass"] - 1.0) <= 1e-14
         assert r.detail["states"] == n_margin_vectors
 
+    def test_fraction_oracle_takes_fractional_weights(self):
+        # Only the weights' scale differs, so the probability and the margin vectors must not move.
+        thirds = fraction_oracle(3, [Fraction(1, 3)] * 6, 3)
+        assert thirds == fraction_oracle(3, [1] * 6, 3)
+        assert thirds[0] == Fraction(17, 18)
+
     def test_states_merge_below_compositions_except_cyclic(self, rng):
         for c in (impartial_culture(3), random_culture(rng), rational_culture(4, SPARSE4_WEIGHTS)):
             d = exact_winner_probability(c, 6).detail
@@ -307,15 +316,15 @@ class TestExactWinnerProbability:
             assert r.detail["states"] == n + 1
 
     def test_single_order_at_large_n(self):
-        # One order's key is n alone, so its type must hold n + 1 as well (n = 255, 65 535 and
-        # 2**32 - 1); 2n beyond 2**63 needs Python integers.
+        # One order is answered before the walk, so neither the key types nor the 63-bit state
+        # limit bound n.
         probs = np.zeros(24)
         probs[5] = 1.0
-        for n in (255, 65_535, 2**32 - 1, 10**9, 3_000_000_000, 2**63 - 2):
+        for n in (1, 2, 255, 65_535, 2**32 - 1, 10**9, 3_000_000_000, 2**63 - 2, 2**63):
             for mode in WinnerMode:
                 r = exact_winner_probability(Culture(4, probs), n, mode)
                 assert r.value == 1.0
-                assert r.detail["states"] == 1
+                assert r.detail == {"compositions": 1, "support_size": 1, "total_mass": 1.0, "states": 1}
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_expansion_in_blocks_matches_one_block(self, monkeypatch, block):
@@ -492,12 +501,10 @@ class TestMergeAndDecode:
         assert keys.tolist() == [5, 1, 5, 0] and weights.tolist() == [0.25, 0.5, 0.125, 1.0]
 
     # (m, support, n, key bytes): uint64 keys up to 2**63 - 1 with tallies above 2**31 and the
-    # cyclic m = 5 culture's coefficients of 3, and single orders, whose key is n alone, up to
-    # 2**63 - 2, where 2n needs Python integers.
+    # cyclic m = 5 culture's coefficients of 3. Single orders never reach the decode.
     @pytest.mark.parametrize("m,support,n,key_bytes", [
         (3, (0, 5), 15, 1), (3, tuple(range(6)), 15, 2), (3, tuple(range(6)), 255, 4),
         (4, tuple(range(0, 24, 3)), 40, 8), (5, CYCLIC5, 6207, 8), (3, (0, 5), 3_037_000_498, 8),
-        (3, (0,), 255, 2), (3, (0,), 3_000_000_000, 4), (3, (0,), 2**63 - 2, 8),
     ])
     def test_decode_matches_python_integers(self, m, support, n, key_bytes):
         basis, decode = exact_module._tally_basis(m, support)
@@ -512,7 +519,7 @@ class TestMergeAndDecode:
         for margins in expected:
             tallies = [(margins[pair] + n) // 2 for pair in basis]
             packed.append(n + sum(w * base ** (i + 1) for i, w in enumerate(tallies)))
-        keys = np.array(packed, dtype=np.min_scalar_type(max(base**digits - 1, base)))
+        keys = np.array(packed, dtype=np.min_scalar_type(base**digits - 1))
         assert keys.itemsize == key_bytes and keys.tolist() == packed
         got = exact_module._margins(keys, n, basis, decode)
         assert got.tolist() == expected
@@ -563,6 +570,10 @@ class TestTieProbability:
     def test_degenerate_probability(self):
         assert tie_probability(10, 0.0) == 0.0
         assert tie_probability(10, 1.0) == 0.0
+
+    def test_probability_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^probability out of range: 1\.5$"):
+            tie_probability(4, 1.5)
 
     def test_symmetry_in_p(self):
         assert tie_probability(8, 0.3) == pytest.approx(tie_probability(8, 0.7), rel=1e-14)

@@ -272,7 +272,7 @@ class TestConfig:
 
     def test_voter_count_range(self):
         c = impartial_culture(3)
-        with pytest.raises(ValueError, match=r"^voter count must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^voter count must be >= 1 and below 2\*\*63, got 0$"):
             mc_winner_probability(c, 0, McConfig(trials=10))
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
             mc_winner_probability(c, 2**63, McConfig(trials=10))

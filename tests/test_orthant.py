@@ -87,8 +87,10 @@ class TestClosedForms:
             (equi(-1.0, 3), "semidefinite"),
             ([[1.0, math.nan], [math.nan, 1.0]], "finite"),
             ([[1.0, 0.5], [-0.9, 1.0]], "symmetric"),
+            ([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], "square"),
+            ([[1.0, 1.5], [1.5, 1.0]], "off-diagonal"),
         ],
-        ids=["non-psd-d3", "nan-d2", "asymmetric-d2"],
+        ids=["non-psd-d3", "nan-d2", "asymmetric-d2", "non-square", "entry-1.5"],
     )
     def test_bad_matrix_rejected_below_d4(self, r, reason):
         with pytest.raises(CorrelationMatrixError, match=reason):
@@ -165,6 +167,14 @@ class TestOrthantMc:
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(CorrelationMatrixError):
             orthant_mc(bad, 1000, seed=0)
+
+    def test_negative_eigenvalue_beyond_the_jitter_rejected(self):
+        # The smallest eigenvalue, 1 + 2 rho = -5e-10, passes the 1e-9 semidefinite check, but a
+        # jitter of 1e-10 leaves it negative, so no Cholesky factor exists.
+        r = equi(-0.5 - 2.5e-10, 3)
+        assert -1e-9 < np.linalg.eigvalsh(r).min() < -1e-10
+        with pytest.raises(CorrelationMatrixError, match="within jitter 1e-10"):
+            orthant_mc(r, 1000, seed=0)
 
     def test_not_a_correlation_matrix(self):
         with pytest.raises(CorrelationMatrixError):

@@ -44,3 +44,20 @@ def test_runtime_needs_numpy_only():
     block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
     names = [re.split(r"[<>=!~ ;\[]", d)[0] for d in re.findall(r'"([^"]+)"', block.group(1))]
     assert names == ["numpy"]
+
+
+def test_all_lists_exactly_the_public_names_of_init():
+    # A name bound in __init__ but left out of __all__ is missed by ``from condorcet import *``;
+    # one listed but not bound breaks it.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound, listed = set(), None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if names == ["__all__"]:
+                listed = ast.literal_eval(node.value)
+            bound |= set(names)
+    assert listed is not None and len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(name for name in bound if not name.startswith("_"))
