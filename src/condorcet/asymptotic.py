@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import DEFAULT_SEED, Method, WinnerProbability, split_candidate
 from .culture import Culture, count_argument, integer_argument, pair_signs, seed_argument
-from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, gauss_legendre, orthant_mc, orthants_mc
+from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, equicorrelated_orthant, gauss_legendre, orthant_mc, orthants_mc
 
 _TWO_PI = 2.0 * math.pi
 
@@ -421,12 +421,15 @@ def ic_limit_sampford(m: int) -> float:
 
     Under the uniform culture all margins are balanced and every candidate's
     correlation matrix is equicorrelated at 1/3, so the limit is m times the
-    (m-1)-dimensional orthant value from :func:`closed_orthant`: closed forms
-    for m <= 4, the equicorrelated integral above; the range rule is that of
-    WinnerProbability.
+    (m-1)-dimensional orthant value: :func:`closed_orthant`'s closed forms for
+    m <= 4, and above :func:`equicorrelated_orthant`, which needs no matrix,
+    so memory does not grow with m; the range rule is that of WinnerProbability.
     """
     m = integer_argument(m, "candidate count", 2, math.inf, ">= 2")
-    value = m * closed_orthant((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0]
+    if m >= 5:
+        value = m * equicorrelated_orthant(1.0 / 3.0, m - 1)
+    else:
+        value = m * closed_orthant((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0]
     return WinnerProbability(value, Method.LIMIT).value
 
 

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .culture import candidate_pairs
 
-_CHUNK_CELLS = 1 << 20  # values drawn per chunk, so memory grows with neither trials nor width
+_BLOCK_CELLS = 1 << 16  # values per stream block; part of every stream's definition, as the seed is
+_POOL_CELLS = 1 << 18  # draws of fewer values run inline: starting a pool would cost more than it saves
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 DEFAULT_SEED = 0  # of every seeded estimate, in the library and on the command line
 
 
@@ -99,14 +102,33 @@ def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) ->
 
     Each drawn row of ``width`` values yields ``per_row`` samples.
     ``hits(rng, k)`` draws the rows of k samples from ``rng`` and returns, per
-    group, how many of the k samples hit it. The rows come from one PCG64
-    stream seeded by ``SeedSequence(entropy)``, in chunks of about
-    ``_CHUNK_CELLS`` values and whole rows; only the last chunk may end
-    part-way through a row. numpy's generators fill rows in sequence, so the
-    result depends only on (entropy, trials), never on the chunk size.
+    group, how many of the k samples hit it. The samples come in blocks of
+    ``per_row * max(1, 2**16 // width)``, only the last of which may be
+    shorter. Block 0 draws from a PCG64 stream seeded by
+    ``SeedSequence(entropy)``, block b >= 1 from one seeded by
+    ``SeedSequence(entropy, spawn_key=(b,))``, and the blocks' hit counts add
+    up as integers. So the result depends only on (entropy, trials), never on
+    the order in which blocks finish. A draw of at least 2**18 values runs its
+    blocks on one thread per usable CPU (numpy's generators release the GIL),
+    a smaller one in the calling thread; either way at most ``_WORKERS``
+    blocks are in memory at once.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    chunk = per_row * max(1, _CHUNK_CELLS // width)
-    counts = (hits(rng, min(chunk, trials - start)) for start in range(0, trials, chunk))
-    totals = sum(np.array(c, dtype=np.int64) for c in counts)
+    block = per_row * max(1, _BLOCK_CELLS // width)
+    blocks = -(-trials // block)
+
+    def count(b: int) -> np.ndarray:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(b,) if b else ())))
+        return np.array(hits(rng, min(block, trials - b * block)), dtype=np.int64)
+
+    def stride(first: int, step: int) -> np.ndarray:
+        return sum(count(b) for b in range(first, blocks, step))
+
+    if trials * width // per_row < _POOL_CELLS:
+        totals = stride(0, 1)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # about 5 ms to import, so only when a pool runs
+
+        workers = min(_WORKERS, blocks)
+        with ThreadPoolExecutor(workers) as pool:
+            totals = sum(pool.map(stride, range(workers), [workers] * workers))
     return [(v, math.sqrt(v * (1.0 - v) / trials)) for v in (int(total) / trials for total in totals)]

@@ -2,9 +2,10 @@
 
 Covers electorate sizes where exact enumeration is infeasible and serves as
 the cross-check tying the exact and limiting computations together. Profiles
-are drawn over the culture's support only, by one PCG64 stream seeded from
-``[seed, 0]``, so an estimate depends only on (seed, trials) and is bit-exact
-across runs. With at least as many voters as supported orders, a profile is
+are drawn over the culture's support only, in the stream blocks of
+:func:`~condorcet.core.seeded_fraction` seeded from ``[seed, 0]``, so an
+estimate depends only on (seed, trials), not on the thread count, and is
+bit-exact across runs. With at least as many voters as supported orders, a profile is
 one multinomial vector of vote counts; with fewer, each voter's order is drawn
 on its own, through a guide table (C. Chen and R. Asau, "On generating random
 variates from an empirical distribution", AIIE Trans. 6, 1974) that returns
@@ -12,7 +13,7 @@ the same indices as ``Generator.choice`` from the same uniforms, and the
 voters' pair wins are counted in packed lanes: one uint8 lane per pair (uint16
 from 256 voters on) in 64-bit words, summed a word at a time over all voters.
 A lane's count is at most n < s <= 8! < 2**16, so it never carries into its
-neighbour. Either way a chunk holds about 2**20 vote counts or voter choices,
+neighbour. Either way a block holds about 2**16 vote counts or voter choices,
 so memory stays bounded at any trial count or m.
 """
 
@@ -119,8 +120,8 @@ def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerP
     counts; when n < s it is n voter choices, drawn through a guide table
     with the indices ``Generator.choice`` would return, whose pair wins are
     counted in packed lanes. The result depends only on (seed, trials),
-    and each chunk holds about 2**20 vote counts or voter choices whatever
-    the trial count or the number of orders. ``n`` must be an int in
+    and each stream block holds about 2**16 vote counts or voter choices
+    whatever the trial count or the number of orders. ``n`` must be an int in
     [1, 2**63), numpy integers included; bools and floats raise ValueError.
     """
     n = integer_argument(n, "voter count", 1, 2**63, ">= 1 and below 2**63")  # numpy's multinomial takes a C long

@@ -10,8 +10,9 @@ a fixed composite Gauss-Legendre rule (:func:`gauss_legendre`). One sampler,
 (u and -u), which need half the normal draws of plain sampling; it reports
 the binomial standard error as an upper bound, and one draw serves several
 orthants of signed coordinates of the same vector. :func:`orthant_mc` is its
-single all-positive orthant. The odd-dimension recursion for equicorrelated
-matrices lives in the tests, as an oracle for the integral.
+single all-positive orthant. The sampler's estimates depend only on (seed,
+samples), whatever the thread count. The odd-dimension recursion for
+equicorrelated matrices lives in the tests, as an oracle for the integral.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ import math
 import numpy as np
 
 from .core import DEFAULT_SEED, seeded_fraction
-from .culture import count_argument
+from .culture import count_argument, seed_argument
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_PI = 2.0 * math.pi
+# Multiply-adds per product of the Cholesky factor and normal rows. OpenBLAS runs
+# a product of at most 2**18 in the calling thread; a larger one wakes its own
+# threads, which on a small block cost more than they save and compete with
+# seeded_fraction's workers.
+_BLAS_PRODUCTS = 1 << 18
 
 DEFAULT_MC_SAMPLES = 10_000_000
 EQUICORRELATION_TOL = 1e-12
@@ -129,21 +135,32 @@ def orthants_mc(
     estimate is the fraction of samples z with every sign * z[coordinate] >= 0.
     All groups read the same antithetic samples: each standard-normal row u
     gives u and -u (an odd count leaves out the last row's mirror). Rows come
-    from one PCG64 stream in chunks of about 2**20 normal values, so the result
-    depends only on (seed, samples). Returns, per group, the estimate v and the
+    in :func:`~condorcet.core.seeded_fraction`'s stream blocks of about 2**16
+    normal values, one PCG64 stream per block, so the result depends only on
+    (seed, samples), not on how many threads draw them. ``seed`` is an int in
+    [0, 2**64) or a non-empty tuple of them; anything else, None and bools
+    included, raises ValueError. Returns, per group, the estimate v and the
     binomial stderr sqrt(v (1 - v) / samples).
     """
     r = validate_correlation_matrix(r)
     samples = count_argument(samples, "samples")
+    if isinstance(seed, tuple) and seed:
+        seed = tuple(seed_argument(part, "seed") for part in seed)
+    else:
+        seed = seed_argument(seed, "seed")
     d = r.shape[0]
     if d == 0:
         return [(1.0, 0.0)] * len(groups)
     chol = _cholesky_with_jitter(r)
+    step = max(1, _BLAS_PRODUCTS // (d * d))
 
     def hits(rng: np.random.Generator, size: int) -> list[int]:
         # Row u hits a group when each signed coordinate is >= 0, -u when each is
         # <= 0 (both only if all are 0). z is (d, rows): each test reads one row.
-        z = chol @ rng.standard_normal(((size + 1) // 2, d)).T
+        u = rng.standard_normal(((size + 1) // 2, d)).T
+        z = np.empty(u.shape)
+        for start in range(0, z.shape[1], step):
+            np.matmul(chol, u[:, start : start + step], out=z[:, start : start + step])
         at_least = {1: z >= 0.0, -1: z <= 0.0}  # sign * z >= 0
         counts = []
         for group in groups:

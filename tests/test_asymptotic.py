@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from condorcet import (
     sign_pattern_culture,
 )
 from condorcet.core import DEFAULT_SEED
+from condorcet.orthant import closed_orthant
 from conftest import bacon_recursion, random_culture, random_dual_culture
 
 NEG = -math.inf
@@ -441,6 +443,22 @@ class TestImpartialLimits:
     def test_sampford_below_bound_sample(self):
         for m in (2, 3, 10, 25, 100, 200):
             assert ic_limit_sampford(m) <= may_bound(m)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_sampford_equals_the_orthant_dispatch(self, m):
+        assert ic_limit_sampford(m) == min(1.0, m * closed_orthant((2.0 * np.eye(m - 1) + 1.0) / 3.0)[0])
+
+    def test_sampford_builds_no_matrix(self):
+        # The (m - 1)**2 correlation matrix alone would take 32 MB at m = 2001.
+        ic_limit_sampford(5)  # the integral's first call, outside the trace
+        tracemalloc.start()
+        try:
+            value = ic_limit_sampford(2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value < may_bound(2001)
+        assert peak < 2**20
 
     def test_m25_positive_below_bound(self):
         value = ic_limit_sampford(25)

@@ -24,10 +24,12 @@ from condorcet import (
     may_bound,
     mc_winner_probability,
     order_index,
+    orthant_mc,
     pair_signs,
     pairwise_win_probability,
 )
 from condorcet.culture import seed_argument
+from condorcet.orthant import orthants_mc
 
 
 class TestWinnerProbabilityRange:
@@ -99,6 +101,12 @@ INTEGER_ARGUMENTS = {
     "mc_winner_probability": (
         lambda x: mc_winner_probability(IC3, x, McConfig(trials=10)), "voter count", 2**63 - 1, 2**63,
         ">= 1 and below 2**63",
+    ),
+    "orthant_mc-seed": (
+        lambda x: orthant_mc(np.eye(2), 10, seed=x), "seed", 5, 2**64, "an unsigned 64-bit integer",
+    ),
+    "orthants_mc-seed-tuple": (
+        lambda x: orthants_mc(np.eye(2), [[(0, 1)]], 10, seed=(1, x)), "seed", 0, -1, "an unsigned 64-bit integer",
     ),
     "exact_winner_probability-budget": (
         lambda x: exact_winner_probability(IC3, 3, budget=x), "budget", 56, 0, ">= 1",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ from condorcet import (
 )
 from condorcet import core, montecarlo
 from conftest import random_culture, random_dual_culture
+
+
+def block_streams(entropy, trials: int, block: int):
+    """(generator, sample count) of each stream block of ``core.seeded_fraction``, spelled out."""
+    for b, start in enumerate(range(0, trials, block)):
+        seq = np.random.SeedSequence(entropy, spawn_key=(b,) if b else ())
+        yield np.random.Generator(np.random.PCG64(seq)), min(block, trials - start)
 
 
 def sparse_culture(m: int, size: int, seed: int) -> Culture:
@@ -55,41 +63,71 @@ class TestDeterminism:
         monkeypatch.setenv("CONDORCET_THREADS", "3")
         assert mc_winner_probability(c, 5, cfg) == unset
 
-    @pytest.mark.parametrize("cells", [1, 7, 100])
-    def test_chunk_size_changes_nothing(self, monkeypatch, cells):
-        c, cfg = impartial_culture(3), McConfig(trials=2_001, seed=11, mode=WinnerMode.WEAK)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("path", ["inline", "pooled"])
+    def test_worker_count_changes_nothing(self, monkeypatch, workers, path):
+        c, cfg = impartial_culture(3), McConfig(trials=40_001, seed=11, mode=WinnerMode.WEAK)
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
-        counts = (1, 3_000, 3_001)  # an odd count ends on half an antithetic pair
-        whole = mc_winner_probability(c, 6, cfg), [orthant_mc(r, k, seed=(5, 2)) for k in counts]
-        by_voter = mc_winner_probability(impartial_culture(4), 5, cfg)  # 5 voters, 24 orders
+        counts = (1, 3_000, 3_001, 100_001)  # an odd count ends on half an antithetic pair
         dual = random_dual_culture(np.random.default_rng(3), 5)  # five terms, one shared draw
-        limit = limiting_probability(dual, mc_samples=3_001, mc_seed=4)
-        monkeypatch.setattr(core, "_CHUNK_CELLS", cells)
-        assert (
-            mc_winner_probability(c, 6, cfg),
-            [orthant_mc(r, k, seed=(5, 2)) for k in counts],
-        ) == whole
-        assert mc_winner_probability(impartial_culture(4), 5, cfg) == by_voter
-        assert limiting_probability(dual, mc_samples=3_001, mc_seed=4) == limit
+
+        def estimates():
+            return (
+                mc_winner_probability(c, 6, cfg),  # n >= s: 4 blocks
+                mc_winner_probability(impartial_culture(4), 5, cfg),  # 5 voters, 24 orders: 4 blocks
+                [orthant_mc(r, k, seed=(5, 2)) for k in counts],
+                limiting_probability(dual, mc_samples=30_001, mc_seed=4),  # 3 blocks
+            )
+
+        # The reference: one worker, every block in the calling thread.
+        monkeypatch.setattr(core, "_WORKERS", 1)
+        monkeypatch.setattr(core, "_POOL_CELLS", math.inf)
+        reference = estimates()
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        monkeypatch.setattr(core, "_POOL_CELLS", math.inf if path == "inline" else 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that a lost update would show
+        try:
+            assert estimates() == reference
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("trials", [1, 65_535, 65_536, 3 * 65_536 + 7])
+    def test_blocks_are_spawned_streams(self, trials):
+        # A block of a one-value row is 2**16 samples. Block 0 is the stream of
+        # SeedSequence(entropy) itself, so an estimate of one block is one stream.
+        entropy = [9, 0]
+
+        def hits(rng, k):
+            return [np.count_nonzero(rng.random(k) < 0.3)]
+
+        expected = sum(
+            np.count_nonzero(rng.random(size) < 0.3) for rng, size in block_streams(entropy, trials, 1 << 16)
+        )
+        if trials <= 1 << 16:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+            assert np.count_nonzero(rng.random(trials) < 0.3) == expected
+        [(value, _)] = core.seeded_fraction(entropy, trials, 1, hits)
+        assert value == expected / trials
 
     def test_full_support_stream_is_pinned(self):
         # With full support and n >= m! the draw is the multinomial over all
         # orders; these values pin its stream, which the mc-deep workload uses.
         r = mc_winner_probability(impartial_culture(3), 7, McConfig(50_000, seed=42))
-        assert r.value == 0.92566
+        assert r.value == 0.92756
         weights = np.arange(1, 25) % 3 + 1
         dense = Culture(4, weights / weights.sum())
-        assert mc_winner_probability(dense, 101, McConfig(20_000, seed=3)).value == 0.82915
+        assert mc_winner_probability(dense, 101, McConfig(20_000, seed=3)).value == 0.83815
 
     def test_voter_stream_is_pinned(self):
         # With n < s each voter's order is drawn on its own, as Generator.choice
         # draws it; these values pin that stream, which the mc-wide workload uses.
-        assert mc_winner_probability(impartial_culture(6), 101, McConfig(2_000, 1)).value == 0.679
+        assert mc_winner_probability(impartial_culture(6), 101, McConfig(2_000, 1)).value == 0.682
         sparse = sparse_culture(8, 60, seed=8)
-        assert mc_winner_probability(sparse, 31, McConfig(3_000, 2)).value == 0.549
+        assert mc_winner_probability(sparse, 31, McConfig(3_000, 2)).value == 1_652 / 3_000
         weak = McConfig(20_000, 3, WinnerMode.WEAK)
-        assert mc_winner_probability(impartial_culture(4), 10, weak).value == 0.9734
-        assert mc_winner_probability(impartial_culture(6), 257, McConfig(500, 1)).value == 0.67
+        assert mc_winner_probability(impartial_culture(4), 10, weak).value == 0.9744
+        assert mc_winner_probability(impartial_culture(6), 257, McConfig(500, 1)).value == 0.68
 
 
 def _test_probs(kind: str, s: int) -> np.ndarray:
@@ -146,8 +184,9 @@ class TestWinLanes:
         s, rows = len(support), pair_signs(m)[support]
         for n in (255, 256, s - 1):
             trials = max(4, 20_000 // n)
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([n, 0])))
-            idx = rng.choice(s, (trials, n), p=culture.probs[support])
+            # Each stream block holds 2**16 // n trials: at m = 8 and n = s - 1, one.
+            blocks = block_streams([n, 0], trials, max(1, (1 << 16) // n))
+            idx = np.concatenate([rng.choice(s, (size, n), p=culture.probs[support]) for rng, size in blocks])
             expected = rows[idx].sum(axis=1)
             assert np.array_equal(montecarlo._WinLanes(m, support, n).margins(idx), expected)
             for mode in WinnerMode:

@@ -206,6 +206,14 @@ class TestOrthantMc:
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
         assert orthant_mc(r, 30_001, seed=(5, 2)) == (0.019732675577480752, 0.0008029664238924055)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, (1, True), (), [5, 2]])
+    def test_seed_is_an_int_or_a_tuple_of_ints(self, seed):
+        # None would draw fresh OS entropy and True would read as seed 1.
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            orthant_mc(np.eye(2), 100, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            orthants_mc(np.eye(2), [[(0, 1)]], 100, seed=seed)
+
     def test_numpy_integer_sample_count_accepted(self):
         assert orthant_mc(np.eye(2), np.int64(1_001), seed=5) == orthant_mc(np.eye(2), 1_001, seed=5)
 
