@@ -43,6 +43,25 @@ from .core import DEFAULT_SEED, Method, WinnerProbability, split_candidate
 from .culture import Culture, count_argument, integer_argument, pair_signs, seed_argument
 from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, equicorrelated_orthant, gauss_legendre, orthant_mc, orthants_mc
 
+__all__ = [
+    "TABLE1",
+    "DegenerateVarianceError",
+    "Table1AuditRow",
+    "Table1Row",
+    "audit_table1",
+    "case7_culture",
+    "case17_culture",
+    "classify_m3",
+    "correlation_matrix",
+    "ic_curve",
+    "ic_limit_closed",
+    "ic_limit_sampford",
+    "lambda_matrix",
+    "limiting_probability",
+    "may_bound",
+    "sign_pattern_culture",
+]
+
 _TWO_PI = 2.0 * math.pi
 
 DELTA_SIGN_TOL = 1e-12

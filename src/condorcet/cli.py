@@ -24,7 +24,7 @@ from .asymptotic import (
     ic_curve,
     limiting_probability,
 )
-from .core import DEFAULT_SEED
+from .core import DEFAULT_SEED, WinnerMode
 from .culture import (
     Culture,
     CultureFormatError,
@@ -37,7 +37,6 @@ from .culture import (
 from .exact import (
     DEFAULT_COMPOSITION_BUDGET,
     EnumerationBudgetError,
-    WinnerMode,
     exact_winner_probability,
     minimum_table,
 )

@@ -17,6 +17,8 @@ import numpy as np
 
 from .culture import candidate_pairs
 
+__all__ = ["Method", "WinnerMode", "WinnerProbability"]
+
 _BLOCK_CELLS = 1 << 16  # values per stream block; part of every stream's definition, as the seed is
 _POOL_CELLS = 1 << 18  # draws of fewer values run inline: starting a pool would cost more than it saves
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

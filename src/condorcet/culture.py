@@ -39,6 +39,25 @@ from pathlib import Path
 
 import numpy as np
 
+__all__ = [
+    "Culture",
+    "CultureFormatError",
+    "candidate_pairs",
+    "culture_from_csv",
+    "culture_from_json",
+    "culture_to_csv",
+    "culture_to_json",
+    "cyclic_minimizer_culture",
+    "enumerate_rank_orders",
+    "impartial_culture",
+    "is_dual_culture",
+    "load_culture_file",
+    "order_index",
+    "pair_signs",
+    "pairwise_win_probability",
+    "save_culture",
+]
+
 MIN_CANDIDATES = 2
 MAX_CANDIDATES = 8  # K = 8! = 40320, the largest order enumeration kept in memory
 PROBABILITY_SUM_TOL = 1e-12

@@ -1,24 +1,32 @@
-"""Finite-electorate computations on vote-count profiles.
+"""Finite-electorate winner and tie probabilities.
 
-Covers winner determination for a concrete profile, the exact probability that
-a winner exists under a culture (a convolution over pairwise tally states,
-voter by voter for a few voters and order by order otherwise), tie
-probabilities for even electorates, and the closed-form minimum winner
-probability attained by the cyclic culture. Binomial probabilities follow
-C. Loader, "Fast and Accurate Computation of Binomial Probabilities" (2000).
+Covers the exact probability that a winner exists under a culture (a
+convolution over pairwise tally states, voter by voter for a few voters and
+order by order otherwise), tie probabilities for even electorates, and the
+closed-form minimum winner probability attained by the cyclic culture.
+Binomial probabilities follow C. Loader, "Fast and Accurate Computation of
+Binomial Probabilities" (2000).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .core import Method, WinnerMode, WinnerProbability, winners_mask
-from .culture import Culture, candidate_count_argument, count_argument, integer_argument, pair_signs
+from .culture import Culture, count_argument, integer_argument, pair_signs
+
+__all__ = [
+    "DEFAULT_COMPOSITION_BUDGET",
+    "EnumerationBudgetError",
+    "exact_winner_probability",
+    "minimum_table",
+    "minimum_winner_probability",
+    "tie_probability",
+]
 
 DEFAULT_COMPOSITION_BUDGET = 50_000_000
 
@@ -40,43 +48,20 @@ class EnumerationBudgetError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class VoterProfile:
-    """Vote counts per rank order: counts[i] voters cast canonical order i, a non-negative integer."""
+def _count_text(count: int) -> str:
+    """A count in decimal up to 15 digits, else to three significant digits.
 
-    m: int
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", candidate_count_argument(self.m))
-        k = math.factorial(self.m)
-        if np.shape(self.counts) != (k,):
-            raise ValueError(f"expected {k} counts for m={self.m}, got shape {np.shape(self.counts)}")
-        counts = [integer_argument(c, "vote count", 0, 2**63, ">= 0 and below 2**63") for c in self.counts]
-        c = np.array(counts, dtype=np.int64)
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-
-def condorcet_winners(profile: VoterProfile, mode: WinnerMode = WinnerMode.STRONG) -> list[int]:
-    """All candidates meeting the pairwise-majority condition, ascending.
-
-    A strong winner is unique when it exists; weak winners can tie through
-    zero margins, so the list may have several entries.
+    Large counts go through ``math.log10``, never a decimal conversion of the
+    integer, which Python refuses above 4300 digits.
     """
-    margins = profile.counts @ pair_signs(profile.m)
-    won = winners_mask(margins[None, :], profile.m, mode.margin_threshold)[:, 0]
-    return np.flatnonzero(won).tolist()
-
-
-def condorcet_winner(profile: VoterProfile, mode: WinnerMode = WinnerMode.STRONG) -> int | None:
-    """Lowest-index qualifying candidate, or None when no candidate qualifies."""
-    winners = condorcet_winners(profile, mode)
-    return winners[0] if winners else None
+    if count < 10**15:
+        return str(count)
+    log10 = math.log10(count)
+    exponent = math.floor(log10)
+    mantissa = round(10 ** (log10 - exponent), 2)
+    if mantissa == 10:
+        mantissa, exponent = 1.0, exponent + 1
+    return f"{mantissa:.2f}e+{exponent}"
 
 
 @lru_cache(maxsize=128)
@@ -237,9 +222,9 @@ def exact_winner_probability(
     base, digits = n + 1, len(basis) + 1
     if n_compositions > budget or base**digits > 2**63:
         raise EnumerationBudgetError(
-            f"{n_compositions} compositions of n={n} voters over {s} orders exceed the budget of "
-            f"{budget}, or states of {digits} base-{base} digits exceed 63 bits; use the Monte "
-            "Carlo estimator"
+            f"{_count_text(n_compositions)} compositions of n={n} voters over {s} orders exceed the "
+            f"budget of {budget}, or states of {digits} base-{base} digits exceed 63 bits; use the "
+            "Monte Carlo estimator"
         )
 
     # Digit 0 counts the voters placed, digit i + 1 the tally of basis pair i.

@@ -33,6 +33,8 @@ from .core import (
 )
 from .culture import Culture, count_argument, integer_argument, pair_signs, seed_argument
 
+__all__ = ["McConfig", "mc_convergence_sweep", "mc_winner_probability"]
+
 
 @dataclass(frozen=True)
 class McConfig:

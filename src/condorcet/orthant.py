@@ -24,6 +24,8 @@ import numpy as np
 from .core import DEFAULT_SEED, seeded_fraction
 from .culture import count_argument, seed_argument
 
+__all__ = ["CorrelationMatrixError", "equicorrelated_orthant", "orthant_mc"]
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_PI = 2.0 * math.pi

@@ -260,6 +260,12 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize("m, n", [("8", "3000"), ("7", "20000")])
+    def test_budget_count_beyond_int_to_str_limit_is_exit_1(self, capsys, m, n):
+        code, _, err = run_cli(capsys, "exact", "--culture", "ic", "--m", m, "--n", n)
+        assert code == 1
+        assert "exceed the budget" in err and len(err) < 300
+
     def test_missing_file_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--culture", "missing.json", "--n", "3")
         assert code == 2

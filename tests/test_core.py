@@ -9,7 +9,6 @@ from condorcet import (
     Culture,
     McConfig,
     Method,
-    VoterProfile,
     WinnerProbability,
     candidate_pairs,
     correlation_matrix,
@@ -80,7 +79,6 @@ IC3 = impartial_culture(3)
 # Entry point: (call with the integer argument, its name, a valid value, an int just out of range, the rule).
 INTEGER_ARGUMENTS = {
     "Culture": (lambda x: Culture(x, np.full(6, 1 / 6)), "candidate count", 3, 9, "in [2, 8]"),
-    "VoterProfile": (lambda x: VoterProfile(x, np.zeros(6, dtype=int)), "candidate count", 3, 9, "in [2, 8]"),
     "enumerate_rank_orders": (enumerate_rank_orders, "candidate count", 3, 1, "in [2, 8]"),
     "impartial_culture": (impartial_culture, "candidate count", 3, 9, "in [2, 8]"),
     "cyclic_minimizer_culture": (cyclic_minimizer_culture, "candidate count", 3, 1, "in [2, 8]"),

@@ -1,14 +1,32 @@
 """Layout rules for the package: its source, checked on its syntax tree, and its runtime imports."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import condorcet
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "condorcet"
+MODULES = ("asymptotic", "core", "culture", "exact", "montecarlo", "orthant")
+EXPORTS = (
+    "TABLE1", "Culture", "CultureFormatError", "CorrelationMatrixError", "DEFAULT_COMPOSITION_BUDGET",
+    "DegenerateVarianceError", "EnumerationBudgetError", "McConfig", "Method", "Table1AuditRow", "Table1Row",
+    "WinnerMode", "WinnerProbability", "audit_table1", "candidate_pairs", "case17_culture", "case7_culture",
+    "classify_m3", "correlation_matrix", "culture_from_csv", "culture_from_json", "culture_to_csv",
+    "culture_to_json", "cyclic_minimizer_culture", "enumerate_rank_orders", "equicorrelated_orthant",
+    "exact_winner_probability", "ic_curve", "ic_limit_closed", "ic_limit_sampford", "impartial_culture",
+    "is_dual_culture", "lambda_matrix", "limiting_probability", "load_culture_file", "may_bound",
+    "mc_convergence_sweep", "mc_winner_probability", "minimum_table", "minimum_winner_probability",
+    "order_index", "orthant_mc", "pair_signs", "pairwise_win_probability", "save_culture",
+    "sign_pattern_culture", "tie_probability",
+)
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -46,18 +64,53 @@ def test_runtime_needs_numpy_only():
     assert names == ["numpy"]
 
 
-def test_all_lists_exactly_the_public_names_of_init():
-    # A name bound in __init__ but left out of __all__ is missed by ``from condorcet import *``;
-    # one listed but not bound breaks it.
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    bound, listed = set(), None
+def _defined_names(tree: ast.Module) -> tuple[list[str] | None, set[str]]:
+    """A module's ``__all__`` (which must be a literal) and the names its own top level defines."""
+    listed, defined = None, set()
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            bound |= {a.asname or a.name for a in node.names}
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
             if names == ["__all__"]:
                 listed = ast.literal_eval(node.value)
-            bound |= set(names)
-    assert listed is not None and len(listed) == len(set(listed))
-    assert sorted(listed) == sorted(name for name in bound if not name.startswith("_"))
+            defined |= set(names)
+    return listed, defined
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_lists_public_names_it_defines(module):
+    listed, defined = _defined_names(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    assert isinstance(listed, list) and len(listed) == len(set(listed))
+    assert [name for name in listed if name.startswith("_") or name not in defined] == []
+
+
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    # ``from .exact import WinnerMode`` works while exact imports it from core, and breaks when exact stops.
+    defined = {path.stem: _defined_names(ast.parse(path.read_text()))[1] for path in PACKAGE.glob("*.py")}
+    relayed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                relayed += [f"{path.stem}: {node.module}.{a.name}" for a in node.names
+                            if a.name != "*" and a.name not in defined[node.module]]
+    assert relayed == []
+
+
+def test_all_lists_exactly_the_public_names_of_init():
+    # The package root defines no public name of its own: it binds each module's list and nothing else.
+    lists = [importlib.import_module(f"condorcet.{module}").__all__ for module in MODULES]
+    assert condorcet.__all__ == [name for names in lists for name in names]
+    assert len(condorcet.__all__) == len(set(condorcet.__all__))
+    namespace: dict = {}
+    exec("from condorcet import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(condorcet.__all__)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(name for name in imported if name != "*") == sorted(MODULES)
+
+
+def test_exported_names():
+    # Adding a name to, or taking one from, the public API is a decision this list records.
+    assert sorted(condorcet.__all__) == sorted(EXPORTS)
