@@ -39,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_SEED, Method, WinnerProbability, split_candidate
-from .culture import Culture, count_argument, integer_argument, pair_signs, seed_argument
+from .core import DEFAULT_SEED, Method, WinnerProbability
+from .culture import Culture, candidate_pairs, count_argument, integer_argument, pair_signs, seed_argument
 from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, equicorrelated_orthant, gauss_legendre, orthant_mc, orthants_mc
 
 __all__ = [
@@ -81,48 +81,32 @@ class DegenerateVarianceError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _pair_index(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """The upper triangle, in ``pair_signs`` column order, and (m, m) maps of column {i, j} and sign(j - i)."""
-    upper = np.triu_indices(m, 1)
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, m) maps: ``columns[i, j]``, the ``pair_signs`` column of {i, j}, and ``sides[i, j]`` = sign(j - i)."""
     columns = np.zeros((m, m), dtype=np.intp)
-    columns[upper] = np.arange(upper[0].size)
-    return upper, columns + columns.T, np.sign(np.subtract.outer(range(m), range(m))) * -1.0
+    columns[np.triu_indices(m, 1)] = np.arange(m * (m - 1) // 2)
+    return columns + columns.T, -np.sign(np.subtract.outer(range(m), range(m)))
 
 
 def lambda_matrix(culture: Culture) -> np.ndarray:
     """Expected pairwise margins: entry [i, j] = 2 p_ij - 1, antisymmetric."""
-    lam = np.zeros((culture.m, culture.m))
-    lam[_pair_index(culture.m)[0]] = culture.probs @ pair_signs(culture.m)
-    return lam - lam.T
+    columns, sides = _pair_index(culture.m)
+    return (culture.probs @ pair_signs(culture.m))[columns] * sides
 
 
-def _margin_signs(lam: np.ndarray, tol: float) -> list[list[int]]:
-    """The sign rule: +1 above ``tol``, -1 below ``-tol``, 0 within ``tol`` of zero."""
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
-    return ((lam > tol).astype(int) - (lam < -tol)).tolist()
+def _pair_correlation(culture: Culture, columns, lam: np.ndarray) -> np.ndarray:
+    """Correlation matrix of the margins in the ``pair_signs`` ``columns``, each pair read by its first candidate.
 
-
-@lru_cache(maxsize=None)
-def _rivals(m: int, i: int) -> tuple[int, ...]:
-    return tuple(j for j in range(m) if j != i)
-
-
-def _correlation_submatrix(culture: Culture, first, second, lam: np.ndarray) -> np.ndarray:
-    """Correlation matrix of the margins of the pairs (first, second), indices broadcast.
-
-    Entry (p, q) is (E[s_p s_q] - lam_p lam_q) / sqrt((1 - lam_p^2)(1 - lam_q^2))
-    where s_ab is the voter's +/-1 preference between a and b: the sign table's
-    column of the pair {a, b}, negated where a > b. Raises
+    Entry (p, q) is (E[s_p s_q] - lam_p lam_q) / sqrt((1 - lam_p^2)(1 - lam_q^2)), where s_p is
+    the voter's +/-1 preference in column p and ``lam`` holds each column's mean. Raises
     :class:`DegenerateVarianceError` when a listed margin is +/-1 within 1e-12.
     """
-    lam_row = lam[first, second]
+    lam_row = lam[columns]
     degenerate = np.abs(lam_row) >= 1.0 - DEGENERATE_MARGIN_TOL
     if degenerate.any():
-        pairs = np.transpose(np.broadcast_arrays(first, second))[degenerate].tolist()
+        pairs = [list(candidate_pairs(culture.m)[c]) for c in np.asarray(columns)[degenerate]]
         raise DegenerateVarianceError(f"margins of the pairs {pairs} are +/-1; the correlation entry is undefined")
-    _, columns, orientation = _pair_index(culture.m)
-    rows = pair_signs(culture.m).T[columns[first, second]] * orientation[first, second][:, None]  # (pairs, K)
+    rows = pair_signs(culture.m).T[columns].astype(float)  # (pairs, K)
     second_moment = (rows * culture.probs) @ rows.T
     sd = np.sqrt(1.0 - lam_row**2)
     r = (second_moment - lam_row[:, None] * lam_row) / (sd[:, None] * sd)
@@ -140,30 +124,39 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     +/-inf threshold instead).
     """
     i = integer_argument(i, "candidate i", 0, culture.m, f"in [0, {culture.m - 1}]")
-    return _correlation_submatrix(culture, i, _rivals(culture.m, i), lambda_matrix(culture))
+    columns, sides = (np.delete(a[i], i) for a in _pair_index(culture.m))
+    return _pair_correlation(culture, columns, culture.probs @ pair_signs(culture.m)) * np.outer(sides, sides)
 
 
 def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[tuple], np.ndarray | None]:
-    """The margin signs, per candidate (forced term, R, coordinates), and the joint matrix.
+    """The margin signs, per candidate (forced term, R, group), and the joint matrix.
 
-    The joint matrix correlates every balanced pair (a, b), a < b, of the candidates whose term is
-    not forced to 0 or 1. Their coordinates are (joint row, -1 if the candidate is b else 1) per
-    balanced rival, and R is the joint matrix at those rows, signs applied; else [] and None.
+    A margin's sign is +1 above ``tol``, -1 below ``-tol`` and 0 within ``tol`` of zero. A term
+    is forced to 0 by a pairing surely lost and to 1 when every pairing is surely won. The joint
+    matrix correlates the balanced pairs of the other candidates, in ``pair_signs`` column order.
+    Such a candidate's group holds (joint row, side) per balanced rival, side -1 where the
+    candidate is the pair's second, and R is the joint matrix at those rows, sides applied; a
+    forced term has [] and None.
     """
-    lam = lambda_matrix(culture)
-    signs = _margin_signs(lam, tol)
-    split = [split_candidate([signs[i][j] for j in _rivals(culture.m, i)]) for i in range(culture.m)]
-    balanced = [[_rivals(culture.m, i)[k] for k in kept] for i, (_, kept) in enumerate(split)]
-    pairs = sorted({(min(i, j), max(i, j)) for i in range(culture.m) for j in balanced[i]})
-    joint = _correlation_submatrix(culture, *np.array(pairs).T, lam) if pairs else None
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    lam = culture.probs @ pair_signs(culture.m)
+    columns, sides = _pair_index(culture.m)
+    signs = (((lam > tol).astype(int) - (lam < -tol))[columns] * sides).tolist()
+    balanced = [  # None where a pairing is surely lost, else the (column, side) of each balanced rival
+        None if min(row) < 0 else [(column[j], side[j]) for j, s in enumerate(row) if s == 0 and j != i]
+        for i, (row, column, side) in enumerate(zip(signs, columns.tolist(), sides.tolist()))
+    ]
+    rows = {c: k for k, c in enumerate(sorted({c for pairs in balanced if pairs for c, _ in pairs}))}
+    joint = _pair_correlation(culture, list(rows), lam) if rows else None
     parts = []
-    for i, (forced, _) in enumerate(split):
-        coordinates = [(pairs.index((min(i, j), max(i, j))), 1 if i < j else -1) for j in balanced[i]]
+    for pairs in balanced:
+        group = [(rows[c], side) for c, side in pairs or ()]
         sub = None
-        if coordinates:
-            at, flips = np.array(coordinates).T
-            sub = joint[at[:, None], at] * (flips[:, None] * flips)
-        parts.append((forced, sub, coordinates))
+        if group:
+            at, flips = zip(*group)
+            sub = joint[np.ix_(at, at)] * np.outer(flips, flips)
+        parts.append((0.0 if pairs is None else None if group else 1.0, sub, group))
     return signs, parts, joint
 
 
@@ -193,13 +186,13 @@ def limiting_probability(
     evaluated = [(forced, None, "exact") if sub is None else closed_orthant(sub) for forced, sub, _ in parts]
     sampled = [i for i, term in enumerate(evaluated) if term is None]
     if sampled:  # one draw of the joint matrix's rows that the sampled terms read
-        rows = sorted({q for i in sampled for q, _ in parts[i][2]})
-        groups = [[(rows.index(q), sign) for q, sign in parts[i][2]] for i in sampled]
-        estimates = orthants_mc(joint[np.ix_(rows, rows)], groups, mc_samples, mc_seed)
+        rows = {q: k for k, q in enumerate(sorted({q for i in sampled for q, _ in parts[i][2]}))}
+        groups = [[(rows[q], side) for q, side in parts[i][2]] for i in sampled]
+        estimates = orthants_mc(joint[np.ix_(list(rows), list(rows))], groups, mc_samples, mc_seed)
         for i, estimate in zip(sampled, estimates):
             evaluated[i] = (*estimate, "monte-carlo")
     terms = [
-        {"candidate": i, "deltas": [_THRESHOLD_LABELS[signs[i][j]] for j in _rivals(culture.m, i)],
+        {"candidate": i, "deltas": [_THRESHOLD_LABELS[s] for j, s in enumerate(signs[i]) if j != i],
          "correlation": None if sub is None else sub.tolist(), "L": float(value), "method": method, "stderr": stderr}
         for i, ((_, sub, _), (value, stderr, method)) in enumerate(zip(parts, evaluated))
     ]

@@ -85,20 +85,6 @@ def winners_mask(margins: np.ndarray, m: int, threshold: int) -> np.ndarray:
     return out
 
 
-def split_candidate(signs) -> tuple[float | None, list[int]]:
-    """Split one candidate's limit term by the signs of its margins over its rivals.
-
-    Returns (0.0, []) when a sign is negative (a pairing surely lost) and
-    (1.0, []) when none is zero (every pairing surely won). Otherwise returns
-    None and the positions of the balanced (zero-sign) rivals, whose margins'
-    orthant probability is the term.
-    """
-    if any(s < 0 for s in signs):
-        return 0.0, []
-    kept = [k for k, s in enumerate(signs) if s == 0]
-    return (None if kept else 1.0), kept
-
-
 def seeded_fraction(entropy, trials: int, width: int, hits, per_row: int = 1) -> list[tuple[float, float]]:
     """Fractions of ``trials`` seeded samples that hit each group, with their binomial stderrs.
 

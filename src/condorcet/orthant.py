@@ -77,11 +77,8 @@ def validate_correlation_matrix(r: np.ndarray) -> np.ndarray:
 
 
 def _common_correlation(r: np.ndarray) -> float | None:
-    """The shared off-diagonal value when ``r`` is equicorrelated, else None."""
-    d = r.shape[0]
-    off = r[~np.eye(d, dtype=bool)]
-    if off.size == 0:
-        return None
+    """The shared off-diagonal value when ``r``, of dimension d >= 2, is equicorrelated, else None."""
+    off = r[~np.eye(r.shape[0], dtype=bool)]
     first = float(off[0])
     return first if np.all(np.abs(off - first) <= EQUICORRELATION_TOL) else None
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from condorcet import TABLE1, case7_culture, case17_culture, sign_pattern_culture
+from condorcet import TABLE1, case7_culture, case17_culture, order_index, pair_signs, sign_pattern_culture
 from condorcet import cli
 
 CORPUS = Path(__file__).with_name("corpus.json")
@@ -67,6 +67,27 @@ def _support_probs(m: int, s: int, seed: int) -> list[float]:
     return [w / total for w in weights]
 
 
+def _mixed_probs() -> list[float]:
+    """A dual m = 5 culture plus the minimum-norm shift to lambda_03 = lambda_04 = -0.1, other margins 0.
+
+    Candidate 0's term is forced to 0, candidates 3 and 4 keep three balanced rivals (closed forms)
+    and 1 and 2 four (Monte Carlo), so the draw reads 7 of the joint matrix's 8 rows. The smallest
+    probability is 5.8e-4.
+    """
+    coeffs = pair_signs(5).T.astype(float)  # columns (0,3) and (0,4) are 2 and 3
+    target = np.zeros(10)
+    target[[2, 3]] = -0.1
+    return (np.array(_random_probs(5, 7, dual=True)) + coeffs.T @ np.linalg.solve(coeffs @ coeffs.T, target)).tolist()
+
+
+def _rank_deficient_probs() -> list[float]:
+    """Four m = 5 orders and their reversals: the ten margins span four dimensions."""
+    probs = [0.0] * 120
+    for weight, order in zip((0.1, 0.2, 0.3, 0.4), [(0, 1, 2, 3, 4), (1, 3, 0, 4, 2), (2, 0, 4, 1, 3), (3, 4, 1, 0, 2)]):
+        probs[order_index(order)] = probs[order_index(order[::-1])] = weight / 2
+    return probs
+
+
 def write_cultures(folder: Path) -> None:
     """The culture files that the corpus's command lines name."""
     for m in range(3, 9):
@@ -74,6 +95,8 @@ def write_cultures(folder: Path) -> None:
     for m in (3, 4, 5):
         _write(folder / f"rand{m}.csv", m, _random_probs(m, 100 + m, dual=False))
     _write(folder / "support4.csv", 4, _support_probs(4, 8, 48))
+    _write(folder / "mixed5.csv", 5, _mixed_probs())
+    _write(folder / "deficient5.csv", 5, _rank_deficient_probs())
     (folder / "rand4.json").write_text(json.dumps({"m": 4, "probs": _random_probs(4, 7, dual=False)}))
     for row in TABLE1:
         _write(folder / f"sign{row.number}.csv", 3, sign_pattern_culture(row.signs).probs.tolist())
@@ -96,6 +119,8 @@ def command_lines() -> list[list[str]]:
             lines.append(["limit", "--culture", f"dc:dual{m}.csv", *sampled, *f])
         lines += [["limit", "--culture", "rand5.csv", "--samples", "3001", "--seed", "1", *f],
                   ["limit", "--culture", "rand4.json", "--tol", "0.05", *f]]
+        lines += [["limit", "--culture", name, "--samples", "2000", "--seed", "3", *f]
+                  for name in ("mixed5.csv", "deficient5.csv")]
         for number in range(1, 28):
             lines.append(["classify", "--culture", f"sign{number}.csv", *f])
             if fmt != "table":

@@ -198,6 +198,10 @@ class TestPairwiseWinProbability:
             2 / 3, abs=1e-15
         )
 
+    def test_same_candidate_refused(self):
+        with pytest.raises(ValueError, match="candidates must be distinct"):
+            pairwise_win_probability(impartial_culture(3), 1, 1)
+
     def test_degenerate(self):
         p = np.zeros(6)
         p[order_index((1, 2, 0))] = 1.0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -371,9 +372,21 @@ class TestExactWinnerProbability:
         assert str(excinfo.value).startswith(f"{count} compositions of n={n} voters")
         assert len(str(excinfo.value)) < 300
 
+    def test_count_far_over_budget_refused_without_big_integers(self):
+        # C(2**62 + 40319, 40319) has 584327 digits; math.comb took about a second to build it.
+        c, n = impartial_culture(8), 2**62
+        with pytest.raises(EnumerationBudgetError):
+            exact_winner_probability(c, n)  # caches the m = 8 sign table and tally basis
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError) as excinfo:
+            exact_winner_probability(c, n)
+        assert time.perf_counter() - start < 0.05
+        assert str(excinfo.value).startswith(f"1.70e+584326 compositions of n={n} voters over 40320 orders")
+
     @pytest.mark.parametrize(
         "count, text",
-        [(10**15 - 1, "999999999999999"), (10**15, "1.00e+15"), (123_456 * 10**20, "1.23e+25"), (10**22 - 1, "1.00e+22")],
+        [(10**15 - 1, "999999999999999"), (10**15, "1.00e+15"), (123_456 * 10**20, "1.23e+25"), (10**22 - 1, "1.00e+22"),
+         (99_960 * 10**12, "1.00e+17")],  # the mantissa rounds up to 10 and carries
     )
     def test_count_text(self, count, text):
         assert exact_module._count_text(count) == text

@@ -6,7 +6,6 @@ import pytest
 
 from condorcet import CorrelationMatrixError, equicorrelated_orthant, orthant_mc
 from condorcet import orthant
-from condorcet.core import split_candidate
 from condorcet.orthant import closed_orthant, orthants_mc
 from conftest import bacon_recursion
 
@@ -22,8 +21,10 @@ def equi(rho: float, d: int) -> np.ndarray:
 
 def limit_term(deltas, r: np.ndarray) -> float:
     """A term as the limit takes it: a +inf threshold forces 0, a -inf one drops its coordinate."""
-    forced, kept = split_candidate(-np.sign(deltas))
-    return forced if forced is not None else closed_orthant(r[np.ix_(kept, kept)])[0]
+    if POS in deltas:
+        return 0.0
+    kept = [k for k, delta in enumerate(deltas) if delta == 0.0]
+    return closed_orthant(r[np.ix_(kept, kept)])[0] if kept else 1.0
 
 
 def closed_d2(rho: float) -> float:
@@ -179,6 +180,9 @@ class TestOrthantMc:
     def test_not_a_correlation_matrix(self):
         with pytest.raises(CorrelationMatrixError):
             orthant_mc(np.array([[2.0, 0.0], [0.0, 1.0]]), 1000, seed=0)
+
+    def test_empty_matrix_is_the_whole_space(self):
+        assert orthant_mc(np.zeros((0, 0))) == (1.0, 0.0)
 
     @pytest.mark.parametrize("samples", [2, 1_000, 100_000])
     def test_each_antithetic_pair_hits_once_on_a_half_space(self, samples):
