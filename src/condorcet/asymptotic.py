@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import DEFAULT_SEED, Method, WinnerProbability
-from .culture import Culture, candidate_pairs, count_argument, integer_argument, pair_signs, seed_argument
+from .culture import Culture, candidate_pairs, count_argument, integer_argument, pair_index, pair_signs, seed_argument
 from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, equicorrelated_orthant, gauss_legendre, orthant_mc, orthants_mc
 
 __all__ = [
@@ -80,17 +79,9 @@ class DegenerateVarianceError(ValueError):
     """
 
 
-@lru_cache(maxsize=None)
-def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, m) maps: ``columns[i, j]``, the ``pair_signs`` column of {i, j}, and ``sides[i, j]`` = sign(j - i)."""
-    columns = np.zeros((m, m), dtype=np.intp)
-    columns[np.triu_indices(m, 1)] = np.arange(m * (m - 1) // 2)
-    return columns + columns.T, -np.sign(np.subtract.outer(range(m), range(m)))
-
-
 def lambda_matrix(culture: Culture) -> np.ndarray:
     """Expected pairwise margins: entry [i, j] = 2 p_ij - 1, antisymmetric."""
-    columns, sides = _pair_index(culture.m)
+    columns, sides = pair_index(culture.m)
     return (culture.probs @ pair_signs(culture.m))[columns] * sides
 
 
@@ -124,7 +115,7 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     +/-inf threshold instead).
     """
     i = integer_argument(i, "candidate i", 0, culture.m, f"in [0, {culture.m - 1}]")
-    columns, sides = (np.delete(a[i], i) for a in _pair_index(culture.m))
+    columns, sides = (np.delete(a[i], i) for a in pair_index(culture.m))
     return _pair_correlation(culture, columns, culture.probs @ pair_signs(culture.m)) * np.outer(sides, sides)
 
 
@@ -141,7 +132,7 @@ def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     lam = culture.probs @ pair_signs(culture.m)
-    columns, sides = _pair_index(culture.m)
+    columns, sides = pair_index(culture.m)
     signs = (((lam > tol).astype(int) - (lam < -tol))[columns] * sides).tolist()
     balanced = [  # None where a pairing is surely lost, else the (column, side) of each balanced rival
         None if min(row) < 0 else [(column[j], side[j]) for j, s in enumerate(row) if s == 0 and j != i]

@@ -17,12 +17,12 @@ to one within 1e-12. Inputs that fail are rejected, never renormalized, so data
 errors surface at the boundary instead of being averaged away.
 
 Cultures are saved as JSON or as CSV, one ``order,prob`` row per order keyed
-by its candidates joined by hyphens (``0-2-1``). The CSV reader works on whole
-columns: it splits the body once into keys and values, takes the writer's keys
-in the writer's sequence as indices 0..K-1 with one comparison, parses the
-values with ``float`` and checks duplicates, signs, finiteness and the row
-count as array operations. Only when a check fails does it walk the rows, to
-name the first bad line.
+by its candidates joined by hyphens (``0-2-1``). The CSV reader takes one of
+two routes. The writer's own text (its header, one comma and one line end a
+row, its keys in canonical sequence) is split once with ``str.split`` and its
+values parsed with one ``float`` list. Any other text, or writer text with a
+bad value, goes through one ``csv.reader`` row walk that builds the culture
+and raises at the first bad line.
 """
 
 from __future__ import annotations
@@ -161,6 +161,20 @@ def candidate_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(m) for j in range(i + 1, m))
 
 
+@lru_cache(maxsize=None)
+def pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only (m, m) maps: ``columns[i, j]``, the :func:`pair_signs` column of {i, j}, and ``sides[i, j]``.
+
+    ``sides[i, j]`` is sign(j - i): +1 where i is the pair's first candidate, -1 where it is the second.
+    """
+    columns = np.zeros((m, m), dtype=np.intp)
+    columns[np.triu_indices(m, 1)] = np.arange(m * (m - 1) // 2)
+    maps = columns + columns.T, -np.sign(np.subtract.outer(range(m), range(m)))
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
 @lru_cache(maxsize=None, typed=True)
 def pair_signs(m: int) -> np.ndarray:
     """The (K, P) int8 sign table: [k, p] is +1 where order k ranks pair p's first candidate higher, else -1.
@@ -249,8 +263,8 @@ def pairwise_win_probability(culture: Culture, i: int, j: int) -> float:
     j = integer_argument(j, "candidate j", 0, culture.m, rule)
     if i == j:
         raise ValueError("candidates must be distinct")
-    column = pair_signs(culture.m)[:, candidate_pairs(culture.m).index((min(i, j), max(i, j)))]
-    return float(culture.probs[column > 0 if i < j else column < 0].sum())
+    columns, sides = pair_index(culture.m)
+    return float(culture.probs[pair_signs(culture.m)[:, columns[i, j]] == sides[i, j]].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +309,7 @@ def culture_to_csv(culture: Culture) -> str:
 
 _CSV_HEADER = ["order", "prob"]
 _NOT_A_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+_M_OF_ROW_COUNT = {math.factorial(m): m for m in range(MIN_CANDIDATES, MAX_CANDIDATES + 1)}
 
 
 def culture_from_csv(text: str) -> Culture:
@@ -307,80 +322,21 @@ def culture_from_csv(text: str) -> Culture:
     row's key sets m. Every row is checked; the first bad one is named by its
     line number.
     """
-    columns = _csv_columns(text)
-    if columns is not None:
-        culture = _culture_from_columns(*columns)
-        if culture is not None:
-            return culture
-    raise CultureFormatError(_first_bad_row(_csv_rows(text)))
-
-
-def _csv_rows(text: str) -> list[list[str]]:
-    """``csv.reader``'s rows; a lone CR inside a line or an overlong field raises CultureFormatError."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise CultureFormatError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
-
-
-def _csv_columns(text: str) -> tuple[list[str], list[str]] | None:
-    """The order and prob fields of the non-blank rows below the header.
-
-    None when the header is wrong, no row follows it or a row has other than
-    two fields. Text with a quote or a lone CR is split by ``csv.reader``;
-    otherwise the fields are exactly those of ``str.split``.
-    """
-    flat = text.replace("\r\n", "\n") if "\r" in text else text
-    if '"' in flat or "\r" in flat:
-        rows = _csv_rows(text)
-        body = [row for row in rows[1:] if row]
-        if not rows or [f.strip() for f in rows[0]] != _CSV_HEADER:
-            return None
-        if not body or any(len(row) != 2 for row in body):
-            return None
-        return [row[0] for row in body], [row[1] for row in body]
-    header, _, body = flat.partition("\n")
-    if [f.strip() for f in header.split(",")] != _CSV_HEADER:
-        return None
-    body = body.strip("\n")
-    while "\n\n" in body:  # blank lines
-        body = body.replace("\n\n", "\n")
-    # Two fields a row: the separators read ",\n" row by row.
-    separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_A_SEPARATOR)
-    if not body or separators != b",\n" * body.count("\n") + b",":
-        return None
-    fields = body.replace("\n", ",").split(",")
-    return fields[0::2], fields[1::2]
-
-
-def _culture_from_columns(keys: list[str], values: list[str]) -> Culture | None:
-    """The culture the rows give, or None if a row is bad; a wrong sum still raises."""
-    m = keys[0].count("-") + 1  # if the first key parses, it has m parts
-    if not MIN_CANDIDATES <= m <= MAX_CANDIDATES or len(keys) != math.factorial(m):
-        return None
-    try:
-        probs = np.array([float(value) for value in values])
-    except ValueError:  # float() keeps some whitespace that strip() drops, such as "\x1c"
-        try:
-            probs = np.array([float(value.strip()) for value in values])
-        except ValueError:
-            return None
-    if not (probs.min() >= 0.0 and probs.max() < math.inf):  # NaN fails both
-        return None
-    if tuple(keys) != _order_keys(m):  # not the writer's keys in its order
-        index = _order_key_map(m)
-        keys = [key.strip() for key in keys]
-        try:
-            at = np.array([index[key] if key in index else _key_index(key, m) for key in keys])
-        except CultureFormatError:
-            return None
-        if np.bincount(at).max() > 1:  # a duplicate; with k rows, all are present otherwise
-            return None
-        placed = np.empty_like(probs)
-        placed[at] = probs
-        probs = placed
-    return Culture(m, probs)
+    # The writer's own text: its header, one comma and one LF or CRLF a row, its keys in its order.
+    body = text.replace("\r\n", "\n") if "\r" in text else text
+    body = body[len("order,prob\n") :] if body.startswith("order,prob\n") and "\r" not in body else ""
+    m = _M_OF_ROW_COUNT.get(body.count("\n"))
+    if m and body[-1] == "\n":
+        separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_A_SEPARATOR)
+        fields = body.replace("\n", ",").split(",")
+        if separators == b",\n" * math.factorial(m) and tuple(fields[0:-1:2]) == _order_keys(m):
+            try:
+                probs = np.array([float(value) for value in fields[1::2]])
+            except ValueError:  # float() keeps some whitespace that strip() drops, such as "\x1c"
+                return _culture_from_rows(text)
+            if probs.min() >= 0.0 and probs.max() < math.inf:  # NaN fails both
+                return Culture(m, probs)
+    return _culture_from_rows(text)
 
 
 def _key_index(key: str, m: int | None) -> int:
@@ -397,41 +353,49 @@ def _key_index(key: str, m: int | None) -> int:
         raise CultureFormatError(str(exc)) from None
 
 
-def _first_bad_row(rows: list[list[str]]) -> str:
-    """Why these ``csv.reader`` rows were rejected: the header, the first bad row or the row count."""
+def _culture_from_rows(text: str) -> Culture:
+    """The culture of ``csv.reader``'s rows, checked row by row; the first bad line raises CultureFormatError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a lone CR inside a line, an overlong field
+        raise CultureFormatError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
     if not rows or [f.strip() for f in rows[0]] != _CSV_HEADER:
-        return 'expected CSV header "order,prob"'
+        raise CultureFormatError('expected CSV header "order,prob"')
     m = None
     index: dict[str, int] = {}
-    seen: set[int] = set()
+    probs: dict[int, float] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
-            return f"line {lineno}: expected 2 fields, got {len(row)}"
+            raise CultureFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
         key, value = row[0].strip(), row[1].strip()
+        idx = index.get(key)
+        if idx is None:  # the first row, or a key the writer would not emit
+            try:
+                idx = _key_index(key, m)
+            except CultureFormatError as exc:
+                raise CultureFormatError(f"line {lineno}, field 'order': {exc}") from None
+            if m is None:  # _key_index checked that m is in range
+                m = key.count("-") + 1
+                index = _order_key_map(m)
+        if idx in probs:
+            raise CultureFormatError(f"line {lineno}: duplicate order key {key!r}")
         try:
-            idx = index[key] if key in index else _key_index(key, m)
-        except CultureFormatError as exc:
-            return f"line {lineno}, field 'order': {exc}"
-        if m is None:  # _key_index checked that m is in range
-            m = key.count("-") + 1
-            index = _order_key_map(m)
-        if idx in seen:
-            return f"line {lineno}: duplicate order key {key!r}"
-        seen.add(idx)
-        try:
-            prob = float(value)
+            prob = probs[idx] = float(value)
         except ValueError:
-            return f"line {lineno}, field 'prob': cannot parse {value!r}"
-        if prob < 0.0:
-            return f"line {lineno}, field 'prob': negative value {value}"
-        if not math.isfinite(prob):
+            raise CultureFormatError(f"line {lineno}, field 'prob': cannot parse {value!r}") from None
+        if not 0.0 <= prob < math.inf:
+            if prob < 0.0:
+                raise CultureFormatError(f"line {lineno}, field 'prob': negative value {value}")
             kind = "NaN" if math.isnan(prob) else "infinite"
-            return f"line {lineno}, field 'prob': {kind} probability {prob!r}"
+            raise CultureFormatError(f"line {lineno}, field 'prob': {kind} probability {prob!r}")
     if m is None:
-        return "no culture rows found"
-    return f"expected {math.factorial(m)} rows for m={m}, got {len(seen)}"
+        raise CultureFormatError("no culture rows found")
+    if len(probs) != math.factorial(m):
+        raise CultureFormatError(f"expected {math.factorial(m)} rows for m={m}, got {len(probs)}")
+    return Culture(m, [probs[idx] for idx in range(len(probs))])
 
 
 def save_culture(culture: Culture, path, fmt: str | None = None) -> None:

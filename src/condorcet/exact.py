@@ -227,12 +227,16 @@ def exact_winner_probability(
         log10_count = ((s - 1) * math.log(n) - math.lgamma(s)) / math.log(10)
     exact_count = log10_count < 1.0 + max(15.0, math.log10(budget))
     n_compositions = math.comb(n + s - 1, s - 1) if exact_count else None
-    basis, decode = _tally_basis(culture.m, tuple(support.tolist()))
-    base, digits = n + 1, len(basis) + 1
-    if n_compositions is None or n_compositions > budget or base**digits > 2**63:
+    if n_compositions is None or n_compositions > budget:
         raise EnumerationBudgetError(
             f"{_count_text(n_compositions, log10_count)} compositions of n={n} voters over {s} orders exceed the "
-            f"budget of {budget}, or states of {digits} base-{base} digits exceed 63 bits; use the "
+            f"budget of {budget}; use the Monte Carlo estimator"
+        )
+    basis, decode = _tally_basis(culture.m, tuple(support.tolist()))
+    base, digits = n + 1, len(basis) + 1
+    if base**digits > 2**63:
+        raise EnumerationBudgetError(
+            f"states of {digits} base-{base} digits for n={n} voters over {s} orders exceed 63 bits; use the "
             "Monte Carlo estimator"
         )
 

@@ -42,9 +42,13 @@ _NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 FORMATS = ("table", "csv", "json")
 
 
-def _write(path: Path, m: int, probs) -> None:
+def _rows(m: int, probs) -> list[str]:
     keys = ("-".join(map(str, o)) for o in itertools.permutations(range(m)))
-    path.write_text("order,prob\n" + "".join(f"{k},{p!r}\n" for k, p in zip(keys, probs)))
+    return [f"{k},{p!r}" for k, p in zip(keys, probs)]
+
+
+def _write(path: Path, m: int, probs) -> None:
+    path.write_text("order,prob\n" + "".join(row + "\n" for row in _rows(m, probs)))
 
 
 def _random_probs(m: int, seed: int, dual: bool) -> list[float]:
@@ -97,6 +101,10 @@ def write_cultures(folder: Path) -> None:
     _write(folder / "support4.csv", 4, _support_probs(4, 8, 48))
     _write(folder / "mixed5.csv", 5, _mixed_probs())
     _write(folder / "deficient5.csv", 5, _rank_deficient_probs())
+    rows = ["order,prob", *_rows(5, _random_probs(5, 105, dual=False))]  # rand5.csv in three other layouts
+    (folder / "shuffled5.csv").write_text("\n".join(rows[:1] + random.Random(5).sample(rows[1:], 120)) + "\n")
+    (folder / "crlf5.csv").write_bytes(("\r\n\r\n".join(rows) + "\r\n").encode())
+    (folder / "quoted5.csv").write_text("".join(f'"{row.replace(",", chr(34) + "," + chr(34))}"\n' for row in rows))
     (folder / "rand4.json").write_text(json.dumps({"m": 4, "probs": _random_probs(4, 7, dual=False)}))
     for row in TABLE1:
         _write(folder / f"sign{row.number}.csv", 3, sign_pattern_culture(row.signs).probs.tolist())
@@ -157,6 +165,10 @@ def command_lines() -> list[list[str]]:
               ["exact", "--culture", "ic", "--m", "6", "--n", "2", "--format", "json"],
               ["exact", "--culture", "one3.csv", "--n", "3000000000", "--format", "json"],
               ["limit", "--culture", "sign14.csv", "--tol", "0.5", "--format", "json"]]
+    for name in ("shuffled5.csv", "crlf5.csv", "quoted5.csv"):
+        lines += [["exact", "--culture", name, "--n", "3", "--format", "json"],
+                  ["mc", "--culture", name, "--n", "7,200", "--trials", "500", "--seed", "2", "--format", "json"],
+                  ["limit", "--culture", name, "--samples", "3001", "--seed", "1", "--format", "json"]]
     errors = [["limit", "--culture", "ic"], ["limit", "--culture", "ic", "--m", "3", "--tol", "-1"],
               ["limit", "--culture", "ic", "--m", "3", "--seed", "-1"], ["limit", "--culture", "dc:rand4.csv"],
               ["limit", "--culture", "negative.csv"], ["limit", "--culture", "short.csv"],

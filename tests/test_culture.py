@@ -27,7 +27,8 @@ from condorcet import (
     pairwise_win_probability,
     save_culture,
 )
-from condorcet.culture import _dual_permutation, _order_key_map
+import condorcet.culture as culture_module
+from condorcet.culture import _dual_permutation, _order_key_map, pair_index
 from conftest import random_culture
 
 
@@ -214,6 +215,21 @@ class TestPairwiseWinProbability:
         for i, j in itertools.combinations(range(3), 2):
             total = pairwise_win_probability(c, i, j) + pairwise_win_probability(c, j, i)
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_m8_sums_the_orders_that_rank_i_above_j(self, rng):
+        c = random_culture(rng, 8)
+        orders = enumerate_rank_orders(8)
+        for i, j in [(0, 7), (7, 0), (3, 5), (6, 2)]:
+            above = np.array([preference_sign(o, i, j) == 1 for o in orders])
+            assert pairwise_win_probability(c, i, j) == float(c.probs[above].sum())
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_pair_index_maps(self, m):
+        columns, sides = pair_index(m)
+        assert not columns.flags.writeable and not sides.flags.writeable
+        for p, (i, j) in enumerate(candidate_pairs(m)):
+            assert columns[i, j] == columns[j, i] == p and sides[i, j] == 1 and sides[j, i] == -1
+        assert np.all(np.diag(sides) == 0)
 
 
 class TestCultureValidation:
@@ -431,6 +447,7 @@ def _csv_text(rows, header="order,prob", eol="\n"):
 _KEYS3 = ["-".join(map(str, o)) for o in itertools.permutations(range(3))]
 _ROWS3 = [f"{key},{p}" for key, p in zip(_KEYS3, ["0.5", "0.25", "0.125", "0.0625", "0.03125", "0.03125"])]
 _IC8 = culture_to_csv(impartial_culture(8))
+_ROWS8 = _IC8.splitlines()[1:]
 
 
 def _replace(rows, at, row):
@@ -460,6 +477,9 @@ LOADABLE = {
     "writer-m2": culture_to_csv(Culture(2, [0.3, 0.7])),
     "writer-m5-dirichlet": culture_to_csv(random_culture(np.random.default_rng(5), 5)),
     "writer-m8-uniform": _IC8,
+    "writer-m8-trailing-blank-line": _IC8 + "\n",
+    "writer-m8-one-quoted-field": _IC8.replace("\n0-1-2-3-4-5-7-6,", '\n"0-1-2-3-4-5-7-6",'),
+    "writer-m8-no-final-newline": _IC8[:-1],
 }
 
 REJECTED = {
@@ -494,8 +514,11 @@ REJECTED = {
     "extra-row": _csv_text([*_ROWS3, "0-1-2,0.0"]),
     "sum-off": _csv_text(_replace(_ROWS3, 5, "2-1-0,0.03")),
     "lone-cr": "order,prob\r" + "\r".join(_ROWS3) + "\r",
+    "lone-cr-before-value": _csv_text(_replace(_ROWS3, 2, "1-0-2,\r0.125")),
     "m8-negative-last-row": _IC8[: _IC8.rindex(",") + 1] + "-1e-9\n",
     "m8-missing-row": _IC8[: _IC8.rindex("\n", 0, -1) + 1],
+    "m8-unfinished-extra-row": _IC8 + _ROWS8[0].split(",")[0],
+    "m8-three-then-one-field": _csv_text([f"{_ROWS8[0]},{_ROWS8[1].split(',')[0]}", _ROWS8[1].split(",")[1], *_ROWS8[2:]]),
 }
 
 
@@ -520,6 +543,35 @@ class TestCsvReaderAgainstRowLoop:
         expected = _outcome(reference_culture_from_csv, text)
         assert isinstance(expected[0], type)
         assert _outcome(culture_from_csv, text) == expected
+
+
+def _refuse(text):
+    raise AssertionError("the row walk read the writer's own text")
+
+
+class TestCsvRoutes:
+    # Texts in LOADABLE and REJECTED that differ from the writer's own text by one edit.
+    NEAR_WRITER = [
+        "writer-m8-trailing-blank-line", "writer-m8-one-quoted-field", "writer-m8-no-final-newline",
+        "m8-three-then-one-field", "m8-unfinished-extra-row", "m8-negative-last-row", "m8-missing-row",
+    ]
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_writer_text_takes_the_first_route(self, m, eol, rng, monkeypatch):
+        culture = random_culture(rng, m)
+        text = culture_to_csv(culture).replace("\n", eol)
+        monkeypatch.setattr(culture_module, "_culture_from_rows", _refuse)
+        assert np.array_equal(culture_from_csv(text).probs, culture.probs)
+
+    @pytest.mark.parametrize("name", NEAR_WRITER)
+    def test_near_writer_text_takes_the_row_walk(self, name, monkeypatch):
+        text = {**LOADABLE, **REJECTED}[name]
+        walked = []
+        walk = culture_module._culture_from_rows
+        monkeypatch.setattr(culture_module, "_culture_from_rows", lambda t: walked.append(t) or walk(t))
+        _outcome(culture_from_csv, text)
+        assert walked == [text]
 
 
 @pytest.mark.parametrize("m", range(2, 9))

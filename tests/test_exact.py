@@ -355,8 +355,18 @@ class TestExactWinnerProbability:
         assert abs(r.detail["total_mass"] - 1.0) <= 1e-12
 
     def test_state_key_beyond_63_bits_refused(self):
-        with pytest.raises(EnumerationBudgetError, match="63 bits"):
+        with pytest.raises(EnumerationBudgetError, match="^states of .* exceed 63 bits") as excinfo:
             exact_winner_probability(cyclic_minimizer_culture(8), 600, budget=10**30)
+        assert "budget" not in str(excinfo.value)
+
+    def test_refused_before_the_tally_basis_is_built(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("tally basis built for a refused job")
+
+        monkeypatch.setattr(exact_module, "_tally_basis", unbuilt)
+        for c, n in [(impartial_culture(8), 2**62), (impartial_culture(4), 12), (cyclic_minimizer_culture(3), 500)]:
+            with pytest.raises(EnumerationBudgetError, match="exceed the budget"):
+                exact_winner_probability(c, n, budget=125_750)
 
     def test_budget_error_names_budget(self):
         with pytest.raises(EnumerationBudgetError, match="50000000"):
