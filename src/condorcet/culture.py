@@ -128,9 +128,22 @@ def _order_index_map(m: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _order_array(m: int) -> np.ndarray:
+    """The orders of :func:`enumerate_rank_orders` as one cached, read-only (K, m) int8 array."""
+    orders = enumerate_rank_orders(m)
+    array = np.fromiter(itertools.chain.from_iterable(orders), np.int8, count=len(orders) * m).reshape(-1, m)
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=None)
 def _order_keys(m: int) -> tuple[str, ...]:
     """The CSV key of each order, the candidates joined by hyphens, in canonical sequence."""
-    return tuple("-".join(map(str, o)) for o in enumerate_rank_orders(m))
+    # One ASCII row per order, digits at the even bytes: "0-1-...-7," split at the commas.
+    rows = np.full((math.factorial(m), 2 * m), ord("-"), np.uint8)
+    np.add(_order_array(m), ord("0"), out=rows[:, 0::2], casting="unsafe")
+    rows[:, -1] = ord(",")
+    return tuple(rows.tobytes().decode("ascii").split(",")[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +197,7 @@ def pair_signs(m: int) -> np.ndarray:
     """
     # int8 throughout: the m = 8 table is 1.1 MB, one int64 copy would be 9 MB.
     first, second = np.array(candidate_pairs(m)).T  # candidate_pairs checks m
-    positions = np.argsort(np.array(enumerate_rank_orders(m), dtype=np.int8), axis=1).astype(np.int8)
+    positions = np.argsort(_order_array(m), axis=1).astype(np.int8)
     above = np.take(positions, first, axis=1) < np.take(positions, second, axis=1)  # C-ordered, unlike [:, first]
     signs = np.where(above, np.int8(1), np.int8(-1))
     signs.flags.writeable = False
@@ -330,8 +343,13 @@ def culture_from_csv(text: str) -> Culture:
         separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_A_SEPARATOR)
         fields = body.replace("\n", ",").split(",")
         if separators == b",\n" * math.factorial(m) and tuple(fields[0:-1:2]) == _order_keys(m):
+            values, limit = fields[1::2], csv.field_size_limit()
+            # csv.reader refuses a field over its limit. The keys and separators take 2m + 1
+            # characters a row, so the rest bounds every value, and most files need no field measured.
+            if len(body) - len(values) * (2 * m + 1) > limit and max(map(len, values)) > limit:
+                return _culture_from_rows(text)
             try:
-                probs = np.array([float(value) for value in fields[1::2]])
+                probs = np.array([float(value) for value in values])
             except ValueError:  # float() keeps some whitespace that strip() drops, such as "\x1c"
                 return _culture_from_rows(text)
             if probs.min() >= 0.0 and probs.max() < math.inf:  # NaN fails both

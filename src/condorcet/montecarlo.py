@@ -13,13 +13,16 @@ the same indices as ``Generator.choice`` from the same uniforms, and the
 voters' pair wins are counted in packed lanes: one uint8 lane per pair (uint16
 from 256 voters on) in 64-bit words, summed a word at a time over all voters.
 A lane's count is at most n < s <= 8! < 2**16, so it never carries into its
-neighbour. Either way a block holds about 2**16 vote counts or voter choices,
-so memory stays bounded at any trial count or m.
+neighbour. The lane words of all m! orders are packed once per (m, lane width)
+and cached read-only, as ``pair_signs`` is; a sweep over several n builds its
+guide table once. Either way a block holds about 2**16 vote counts or voter
+choices, so memory stays bounded at any trial count or m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,12 +75,13 @@ class _GuideTable:
         self.cdf = cdf
         self.below = np.concatenate(([0.0], cdf[:-1]))  # cdf[i-1], and 0 for i = 0
         self.buckets = 4 * cdf.size
-        # cdf[i] <= (b + 1/2) / K iff ceil(cdf[i] K - 1/2) <= b, so entry b counts those i.
-        edges = cdf * self.buckets
+        # cdf[i] <= (b + 1/2) / K iff ceil(cdf[i] K - 1/2) <= b, so entry b counts those i. The last
+        # order (cdf = 1) would count only in entry K, which no u < 1 reaches, so it is left out and
+        # no entry passes s - 1.
+        edges = cdf[:-1] * self.buckets
         edges -= 0.5
         guide = np.bincount(np.ceil(edges, out=edges).astype(np.intp), minlength=self.buckets + 1)
-        np.cumsum(guide, out=guide)
-        self.guide = np.minimum(guide, cdf.size - 1, out=guide)
+        self.guide = np.cumsum(guide, out=guide)
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """``cdf.searchsorted(u, side="right")`` for u in [0, 1)."""
@@ -87,25 +91,39 @@ class _GuideTable:
         return idx
 
 
+@lru_cache(maxsize=None)
+def _lane_words(m: int, itemsize: int) -> np.ndarray:
+    """The cached, read-only (W, m!) uint64 lane words of every order, ``itemsize`` bytes a lane.
+
+    Order k's bit for pair p (1 when it ranks the pair's first candidate
+    higher) sits in lane p of its row, padded to W whole 64-bit words; row w
+    holds word w of every order. 1.3 MB at m = 8 in uint8 lanes.
+    """
+    signs = pair_signs(m)
+    pairs, per_word = signs.shape[1], 8 // itemsize
+    packed = np.zeros((len(signs), -(-pairs // per_word) * per_word), f"u{itemsize}")
+    np.greater(signs, 0, out=packed[:, :pairs])
+    words = packed.view(np.uint64).T.copy()
+    words.flags.writeable = False
+    return words
+
+
 class _WinLanes:
     """Pair margins of n voter choices, counted in packed lanes of 64-bit words.
 
-    Order i's bit for pair p (1 when it ranks the pair's first candidate
-    higher) sits in lane p of its row, one uint8 lane per pair, or one uint16
-    lane when n >= 256, padded to W whole uint64 words. ``words[w]`` holds
-    word w of every order, so one gather and one row sum per word add up the
+    One uint8 lane per pair, or one uint16 lane when n >= 256, from the
+    cached words of :func:`_lane_words`: a full support reads them as they
+    are, a partial one takes its orders' columns. ``words[w]`` holds word w of
+    every supported order, so one gather and one row sum per word add up the
     wins of all n voters of a trial. A lane's count is at most n, and n < s
     <= 8! < 2**16 here, so no count carries into the next lane.
     """
 
     def __init__(self, m: int, support: np.ndarray, n: int) -> None:
-        table = pair_signs(m)
         self.lane = np.dtype(np.uint8 if n < 256 else np.uint16)
-        self.pairs, self.n = table.shape[1], n
-        per_word = 8 // self.lane.itemsize
-        packed = np.zeros((len(support), -(-self.pairs // per_word) * per_word), self.lane)
-        np.greater(table[support], 0, out=packed[:, : self.pairs])
-        self.words = packed.view(np.uint64).T.copy()  # (W, s)
+        self.pairs, self.n = m * (m - 1) // 2, n
+        words = _lane_words(m, self.lane.itemsize)
+        self.words = words if len(support) == words.shape[1] else words.take(support, axis=1)  # (W, s)
 
     def margins(self, idx: np.ndarray) -> np.ndarray:
         """(k, P) int64 margins of the k trials whose (k, n) voter order indices are ``idx``."""
@@ -126,37 +144,48 @@ def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerP
     whatever the trial count or the number of orders. ``n`` must be an int in
     [1, 2**63), numpy integers included; bools and floats raise ValueError.
     """
-    n = integer_argument(n, "voter count", 1, 2**63, ">= 1 and below 2**63")  # numpy's multinomial takes a C long
-    support = culture.support()
-    s = len(support)
-    probs = culture.probs[support]
-    threshold = config.mode.margin_threshold
-    if n < s:
-        guide, lanes = _GuideTable(probs), _WinLanes(culture.m, support, n)
-
-        def margins(rng: np.random.Generator, size: int) -> np.ndarray:
-            return lanes.margins(guide.lookup(rng.random((size, n))))
-    else:
-        rows = pair_signs(culture.m)[support].astype(np.int64)  # (s, P)
-
-        def margins(rng: np.random.Generator, size: int) -> np.ndarray:
-            return rng.multinomial(n, probs, size=size) @ rows
-
-    def hits(rng: np.random.Generator, size: int) -> list[int]:
-        mask = winners_mask(margins(rng, size), culture.m, threshold)
-        return [np.count_nonzero(mask.any(axis=0))]
-
-    [(value, stderr)] = seeded_fraction([config.seed, 0], config.trials, min(n, s), hits)
-    detail = {"trials": config.trials, "seed": config.seed}
-    return WinnerProbability(value, Method.MONTE_CARLO, stderr=stderr, detail=detail)
+    [(_, result)] = mc_convergence_sweep(culture, [n], config)
+    return result
 
 
 def mc_convergence_sweep(
     culture: Culture, ns: list[int], config: McConfig
 ) -> list[tuple[int, WinnerProbability]]:
-    """One estimate per electorate size, for tracing the approach to the limit."""
+    """One estimate per electorate size, for tracing the approach to the limit.
+
+    Each row equals the :func:`mc_winner_probability` call at its n; the
+    guide table and the multinomial rows are built once for all of them.
+    """
     if not ns:
         raise ValueError("need at least one electorate size")
     if list(ns) != sorted(ns):
         raise ValueError("electorate sizes must be ascending")
-    return [(n, mc_winner_probability(culture, n, config)) for n in ns]
+    # Below 2**63, as numpy's multinomial takes a C long.
+    counts = [integer_argument(n, "voter count", 1, 2**63, ">= 1 and below 2**63") for n in ns]
+    support = culture.support()
+    s = len(support)
+    probs = culture.probs[support]
+    threshold = config.mode.margin_threshold
+    guide = _GuideTable(probs) if counts[0] < s else None
+    rows = pair_signs(culture.m)[support].astype(np.int64) if counts[-1] >= s else None  # (s, P)
+
+    def estimate(n: int) -> WinnerProbability:
+        if n < s:
+            lanes = _WinLanes(culture.m, support, n)
+
+            def margins(rng: np.random.Generator, size: int) -> np.ndarray:
+                return lanes.margins(guide.lookup(rng.random((size, n))))
+        else:
+
+            def margins(rng: np.random.Generator, size: int) -> np.ndarray:
+                return rng.multinomial(n, probs, size=size) @ rows
+
+        def hits(rng: np.random.Generator, size: int) -> list[int]:
+            mask = winners_mask(margins(rng, size), culture.m, threshold)
+            return [np.count_nonzero(mask.any(axis=0))]
+
+        [(value, stderr)] = seeded_fraction([config.seed, 0], config.trials, min(n, s), hits)
+        detail = {"trials": config.trials, "seed": config.seed}
+        return WinnerProbability(value, Method.MONTE_CARLO, stderr=stderr, detail=detail)
+
+    return [(n, estimate(count)) for n, count in zip(ns, counts)]

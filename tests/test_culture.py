@@ -161,6 +161,18 @@ class TestPreferenceSigns:
             for p, (i, j) in enumerate(candidate_pairs(m)):
                 assert table[k, p] == preference_sign(order, i, j)
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_order_tables_match_itertools(self, m):
+        orders = list(itertools.permutations(range(m)))
+        array = culture_module._order_array(m)
+        assert array.dtype == np.int8 and not array.flags.writeable
+        assert array.tolist() == [list(o) for o in orders]
+        assert culture_module._order_keys(m) == tuple("-".join(map(str, o)) for o in orders)
+        positions = np.argsort(np.array(orders), axis=1)
+        first, second = np.array(list(itertools.combinations(range(m), 2))).T
+        expected = np.where(positions[:, first] < positions[:, second], 1, -1)
+        assert np.array_equal(pair_signs(m), expected)
+
     def test_sign_tensor_peak_memory_at_m8(self):
         # 8! * 28 signs are 1.1 MB as int8; one int64 intermediate would be 9 MB.
         enumerate_rank_orders(8)  # cached order tuples are not part of the build
@@ -480,6 +492,9 @@ LOADABLE = {
     "writer-m8-trailing-blank-line": _IC8 + "\n",
     "writer-m8-one-quoted-field": _IC8.replace("\n0-1-2-3-4-5-7-6,", '\n"0-1-2-3-4-5-7-6",'),
     "writer-m8-no-final-newline": _IC8[:-1],
+    "writer-m2-value-at-field-limit": culture_to_csv(Culture(2, [0.25, 0.75])).replace(
+        ",0.25\n", ",0.25" + "0" * (csv.field_size_limit() - 4) + "\n", 1
+    ),
 }
 
 REJECTED = {
@@ -518,6 +533,7 @@ REJECTED = {
     "m8-negative-last-row": _IC8[: _IC8.rindex(",") + 1] + "-1e-9\n",
     "m8-missing-row": _IC8[: _IC8.rindex("\n", 0, -1) + 1],
     "m8-unfinished-extra-row": _IC8 + _ROWS8[0].split(",")[0],
+    "writer-m2-overlong-value": culture_to_csv(impartial_culture(2)).replace(",0.5\n", ",0.5" + "0" * 140_000 + "\n", 1),
     "m8-three-then-one-field": _csv_text([f"{_ROWS8[0]},{_ROWS8[1].split(',')[0]}", _ROWS8[1].split(",")[1], *_ROWS8[2:]]),
 }
 
@@ -554,6 +570,7 @@ class TestCsvRoutes:
     NEAR_WRITER = [
         "writer-m8-trailing-blank-line", "writer-m8-one-quoted-field", "writer-m8-no-final-newline",
         "m8-three-then-one-field", "m8-unfinished-extra-row", "m8-negative-last-row", "m8-missing-row",
+        "writer-m2-overlong-value",
     ]
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])

@@ -182,6 +182,7 @@ class TestWinLanes:
         culture = impartial_culture(m) if kind == "uniform" else unanimous_pair_culture(m, 300, m)
         support = culture.support()
         s, rows = len(support), pair_signs(m)[support]
+        every = np.arange(math.factorial(m))
         for n in (255, 256, s - 1):
             trials = max(4, 20_000 // n)
             # Each stream block holds 2**16 // n trials: at m = 8 and n = s - 1, one.
@@ -189,10 +190,33 @@ class TestWinLanes:
             idx = np.concatenate([rng.choice(s, (size, n), p=culture.probs[support]) for rng, size in blocks])
             expected = rows[idx].sum(axis=1)
             assert np.array_equal(montecarlo._WinLanes(m, support, n).margins(idx), expected)
+            # The same voters counted in the lanes of the full order set.
+            assert np.array_equal(montecarlo._WinLanes(m, every, n).margins(support[idx]), expected)
             for mode in WinnerMode:
                 wins = core.winners_mask(expected, m, mode.margin_threshold).any(axis=0)
                 r = mc_winner_probability(culture, n, McConfig(trials, seed=n, mode=mode))
                 assert r.value == np.count_nonzero(wins) / trials
+
+
+    @pytest.mark.parametrize("itemsize", [1, 2])
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_cached_words_hold_each_orders_pair_bits(self, m, itemsize):
+        words = montecarlo._lane_words(m, itemsize)
+        pairs, per_word = m * (m - 1) // 2, 8 // itemsize
+        assert words.dtype == np.uint64 and words.shape == (-(-pairs // per_word), math.factorial(m))
+        lanes = words.T.copy().view(f"u{itemsize}")  # (m!, W * per_word), each order's lanes in sequence
+        assert np.array_equal(lanes[:, :pairs], pair_signs(m) > 0)
+        assert not lanes[:, pairs:].any()
+        assert montecarlo._lane_words(m, itemsize) is words
+
+    def test_cached_words_are_read_only(self):
+        words = montecarlo._lane_words(6, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            words[0, 0] = 0
+        lanes = montecarlo._WinLanes(6, np.arange(720), 11)
+        assert lanes.words is words  # a full support reads the cache as it is
+        with pytest.raises(ValueError, match="read-only"):
+            lanes.words[0] += 1
 
 
 class TestEstimates:
@@ -292,6 +316,16 @@ class TestConvergenceSweep:
         )
         assert rows[-1][1].value < 0.1
         assert rows[-1][1].value < rows[0][1].value
+
+    def test_rows_equal_single_estimates(self, monkeypatch):
+        # n = 51 and 300 draw by voter in uint8 and uint16 lanes, n = 5041 >= 7! by count.
+        c, cfg, ns = impartial_culture(7), McConfig(600, seed=5), [51, 300, 5041]
+        built = []
+        guide = montecarlo._GuideTable
+        monkeypatch.setattr(montecarlo, "_GuideTable", lambda probs: built.append(1) or guide(probs))
+        rows = mc_convergence_sweep(c, ns, cfg)
+        assert len(built) == 1  # one guide table for the sweep
+        assert rows == [(n, mc_winner_probability(c, n, cfg)) for n in ns]
 
     def test_validation(self, rng):
         c = random_culture(rng)
