@@ -22,8 +22,8 @@ is the sum of the terms: closed forms where they exist, and for the rest one
 Monte Carlo draw of their pairs. For three candidates the 27 sign patterns of
 the margins reduce to a fixed table of closed forms (``TABLE1``);
 ``classify_m3`` evaluates a row's stored formula from the same pass, and
-``audit_table1`` checks every row against an independent Monte Carlo
-evaluation of the decomposition.
+``audit_table1`` checks every row against the same shared draw of the
+decomposition, taken for all of the row's balanced terms.
 
 The module also provides the impartial-culture (uniform) limit: the printed
 closed forms for 3..7 candidates, the limit for any count through the same
@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import DEFAULT_SEED, Method, WinnerProbability
 from .culture import Culture, candidate_pairs, count_argument, integer_argument, pair_index, pair_signs, seed_argument
-from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, equicorrelated_orthant, gauss_legendre, orthant_mc, orthants_mc
+from .orthant import DEFAULT_MC_SAMPLES, closed_orthant, equicorrelated_orthant, gauss_legendre, orthants_mc
 
 __all__ = [
     "TABLE1",
@@ -177,9 +177,7 @@ def limiting_probability(
     evaluated = [(forced, None, "exact") if sub is None else closed_orthant(sub) for forced, sub, _ in parts]
     sampled = [i for i, term in enumerate(evaluated) if term is None]
     if sampled:  # one draw of the joint matrix's rows that the sampled terms read
-        rows = {q: k for k, q in enumerate(sorted({q for i in sampled for q, _ in parts[i][2]}))}
-        groups = [[(rows[q], side) for q, side in parts[i][2]] for i in sampled]
-        estimates = orthants_mc(joint[np.ix_(list(rows), list(rows))], groups, mc_samples, mc_seed)
+        estimates = orthants_mc(joint, [parts[i][2] for i in sampled], mc_samples, mc_seed)
         for i, estimate in zip(sampled, estimates):
             evaluated[i] = (*estimate, "monte-carlo")
     terms = [
@@ -325,7 +323,7 @@ def case17_culture() -> Culture:
 
 @dataclass(frozen=True)
 class Table1AuditRow:
-    """Outcome of auditing one table row against a Monte Carlo evaluation."""
+    """Outcome of auditing one table row against the Monte Carlo draw of its terms."""
 
     number: int
     signs: tuple[int, int, int]
@@ -339,28 +337,29 @@ def audit_table1(samples: int = DEFAULT_MC_SAMPLES, seed: int = DEFAULT_SEED) ->
     """Check every table row against a Monte Carlo orthant evaluation.
 
     For each sign pattern a culture realizing it is constructed, classified,
-    and its tabulated value compared with a direct simulation of the
-    three-term orthant decomposition (4-sigma criterion). The stderr is that
-    of the estimate if the formula holds, sqrt(sum L_i (1 - L_i) / samples)
-    over the closed values L_i of the terms, so it is not 0 when every sample
-    of a term falls on one side. Rows whose terms are all forced to 0 or 1 by
-    infinite thresholds have zero stderr and must match exactly.
+    and its tabulated value compared (4-sigma criterion) with its forced terms
+    plus one draw of the rest, on the stream (seed, row number): ``orthants_mc``
+    of the joint matrix and groups that :func:`limiting_probability` samples.
+    The stderr is that of the estimate if the formula holds,
+    sqrt(sum L_i (1 - L_i) / samples) over the terms' closed values L_i
+    (conservative, as the terms are exclusive events), so it is not 0 when
+    every sample of a term falls on one side. Rows whose terms are all forced
+    by infinite thresholds have zero stderr and must match exactly.
     Deterministic for a fixed seed.
     """
     seed = seed_argument(seed, "seed")
     results = []
     for row in TABLE1:
         culture = sign_pattern_culture(row.signs)
-        signs, parts, _ = _decomposition(culture, DELTA_SIGN_TOL)
+        signs, parts, joint = _decomposition(culture, DELTA_SIGN_TOL)
         number, formula_value = _table1_value(signs, parts)
         if number != row.number:
             raise AssertionError(
                 f"constructed culture for row {row.number} classified as {number}"
             )
-        mc_total = sum(
-            forced if sub is None else orthant_mc(sub, samples, seed=(seed, row.number, i))[0]
-            for i, (forced, sub, _) in enumerate(parts)
-        )
+        groups = [group for _, _, group in parts if group]
+        estimates = iter(orthants_mc(joint, groups, samples, (seed, row.number)) if groups else ())
+        mc_total = sum(next(estimates)[0] if group else forced for forced, _, group in parts)
         closed = [closed_orthant(sub)[0] for _, sub, _ in parts if sub is not None]
         mc_stderr = math.sqrt(sum(v * (1.0 - v) for v in closed) / samples)
         passed = abs(formula_value - mc_total) <= 4.0 * mc_stderr  # equality at zero stderr

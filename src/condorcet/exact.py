@@ -217,14 +217,12 @@ def exact_winner_probability(
     if s == 1:  # every voter casts the one order, whose first candidate wins each pairing by n
         detail = {"compositions": 1, "support_size": 1, "total_mass": 1.0, "states": 1}
         return WinnerProbability(1.0, Method.EXACT, detail=detail)
-    # The count's log10, a sum of log1p(n / k) over k < s, refuses jobs far over the budget without
-    # math.comb, which takes a second to build the 584327 digits of uniform m = 8 at n = 2**62. A
-    # difference of lgamma values would cancel at large n. The exact count is taken near the budget
-    # and where it is printed in full.
-    if n < 2**1000:
-        log10_count = math.fsum(math.log1p(n / k) for k in range(1, s)) / math.log(10)
-    else:  # n / k overflows; log1p(n / k) is log(n) - log(k) to rounding
-        log10_count = ((s - 1) * math.log(n) - math.lgamma(s)) / math.log(10)
+    # The count's log10, a sum of log(1 + n / k) over k < s, refuses jobs far over the budget without
+    # math.comb, which takes a second to build the 584327 digits of uniform m = 8 at n = 2**62. Each
+    # term is taken as logaddexp(0, log n - log k), which holds for every n since math.log takes any
+    # int; a difference of lgamma values would cancel at large n. The exact count is taken near the
+    # budget and where it is printed in full.
+    log10_count = float(np.logaddexp(0.0, math.log(n) - np.log(np.arange(1, s))).sum()) / math.log(10)
     exact_count = log10_count < 1.0 + max(15.0, math.log10(budget))
     n_compositions = math.comb(n + s - 1, s - 1) if exact_count else None
     if n_compositions is None or n_compositions > budget:

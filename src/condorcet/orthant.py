@@ -9,10 +9,10 @@ a fixed composite Gauss-Legendre rule (:func:`gauss_legendre`). One sampler,
 :func:`orthants_mc`, estimates the rest from antithetic pairs of normal rows
 (u and -u), which need half the normal draws of plain sampling; it reports
 the binomial standard error as an upper bound, and one draw serves several
-orthants of signed coordinates of the same vector. :func:`orthant_mc` is its
-single all-positive orthant. The sampler's estimates depend only on (seed,
-samples), whatever the thread count. The odd-dimension recursion for
-equicorrelated matrices lives in the tests, as an oracle for the integral.
+orthants of signed coordinates of the same vector. The sampler's estimates
+depend only on (seed, samples), whatever the thread count. The odd-dimension
+recursion for equicorrelated matrices lives in the tests, as an oracle for
+the integral.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import math
 import numpy as np
 
 from .core import DEFAULT_SEED, seeded_fraction
-from .culture import count_argument, seed_argument
+from .culture import count_argument, integer_argument, seed_argument
 
-__all__ = ["CorrelationMatrixError", "equicorrelated_orthant", "orthant_mc"]
+__all__ = ["CorrelationMatrixError", "equicorrelated_orthant", "orthants_mc"]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -130,16 +130,19 @@ def orthants_mc(
 ) -> list[tuple[float, float]]:
     """Monte Carlo orthant probabilities of groups of signed coordinates of N(0, R).
 
-    A group is a sequence of (coordinate, sign) pairs, sign +1 or -1; its
-    estimate is the fraction of samples z with every sign * z[coordinate] >= 0.
-    All groups read the same antithetic samples: each standard-normal row u
-    gives u and -u (an odd count leaves out the last row's mirror). Rows come
-    in :func:`~condorcet.core.seeded_fraction`'s stream blocks of about 2**16
-    normal values, one PCG64 stream per block, so the result depends only on
-    (seed, samples), not on how many threads draw them. ``seed`` is an int in
-    [0, 2**64) or a non-empty tuple of them; anything else, None and bools
-    included, raises ValueError. Returns, per group, the estimate v and the
-    binomial stderr sqrt(v (1 - v) / samples).
+    A group is a sequence of (coordinate, sign) pairs, coordinate an int in
+    [0, d - 1] and sign 1 or -1 (else ValueError); its estimate is the fraction
+    of samples z with every sign * z[coordinate] >= 0. Only the coordinates
+    that some group reads are drawn, and all groups read the same antithetic
+    samples: each standard-normal row u gives u and -u (an odd count leaves out
+    the last row's mirror). Rows come in :func:`~condorcet.core.seeded_fraction`'s
+    stream blocks of about 2**16 normal values, one PCG64 stream per block, so
+    the result depends only on (seed, samples), not on how many threads draw
+    them. ``seed`` is an int in [0, 2**64) or a non-empty tuple of them;
+    anything else, None and bools included, raises ValueError. Returns, per
+    group, the estimate v and the binomial stderr sqrt(v (1 - v) / samples), an
+    upper bound: at most one sample of a pair lies in the group's orthant, so
+    the estimator's is sqrt(v (1 - 2 v) / samples).
     """
     r = validate_correlation_matrix(r)
     samples = count_argument(samples, "samples")
@@ -148,9 +151,18 @@ def orthants_mc(
     else:
         seed = seed_argument(seed, "seed")
     d = r.shape[0]
-    if d == 0:
+    rule = f"in [0, {d - 1}]"
+    groups = [[(integer_argument(k, "coordinate", 0, d, rule), integer_argument(s, "sign", -1, 2, "1 or -1"))
+               for k, s in group] for group in groups]
+    if any(s == 0 for group in groups for _, s in group):
+        raise ValueError("sign must be 1 or -1, got 0")
+    read = sorted({k for group in groups for k, _ in group})
+    if not read:
         return [(1.0, 0.0)] * len(groups)
-    chol = _cholesky_with_jitter(r)
+    rows = {k: row for row, k in enumerate(read)}
+    groups = [[(rows[k], s) for k, s in group] for group in groups]
+    d = len(read)
+    chol = _cholesky_with_jitter(r[np.ix_(read, read)])
     step = max(1, _BLAS_PRODUCTS // (d * d))
 
     def hits(rng: np.random.Generator, size: int) -> list[int]:
@@ -173,21 +185,6 @@ def orthants_mc(
         return counts
 
     return seeded_fraction(seed, samples, d, hits, per_row=2)
-
-
-def orthant_mc(
-    r: np.ndarray,
-    samples: int = DEFAULT_MC_SAMPLES,
-    seed=DEFAULT_SEED,
-) -> tuple[float, float]:
-    """Monte Carlo (estimate, stderr) of the positive-orthant probability of N(0, R).
-
-    :func:`orthants_mc` for one group, every coordinate at sign +1. The stderr
-    is an upper bound: at most one sample of a pair lies in the orthant, so
-    the estimator's is sqrt(v (1 - 2 v) / samples).
-    """
-    d = np.shape(r)[0] if np.ndim(r) else 0  # orthants_mc rejects what is not a square matrix
-    return orthants_mc(r, [[(k, 1) for k in range(d)]], samples, seed)[0]
 
 
 def closed_orthant(r: np.ndarray) -> tuple[float, None, str] | None:

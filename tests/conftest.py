@@ -21,6 +21,11 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1729)
 
 
+def positive_orthant(d: int) -> list[list[tuple[int, int]]]:
+    """The one group of ``orthants_mc`` that reads all d coordinates at sign +1: the positive orthant."""
+    return [[(k, 1) for k in range(d)]]
+
+
 def bacon_recursion(rho: float, d: int) -> float:
     """Equicorrelated orthant probability at odd d >= 3 from the lower dimensions.
 

@@ -12,7 +12,6 @@ from condorcet import (
     DegenerateVarianceError,
     Method,
     audit_table1,
-    orthant_mc,
     case7_culture,
     case17_culture,
     classify_m3,
@@ -27,12 +26,14 @@ from condorcet import (
     limiting_probability,
     may_bound,
     order_index,
+    orthants_mc,
     pairwise_win_probability,
     sign_pattern_culture,
 )
+from condorcet.asymptotic import DELTA_SIGN_TOL, _decomposition
 from condorcet.core import DEFAULT_SEED
 from condorcet.orthant import closed_orthant
-from conftest import bacon_recursion, random_culture, random_dual_culture
+from conftest import bacon_recursion, positive_orthant, random_culture, random_dual_culture
 
 NEG = -math.inf
 POS = math.inf
@@ -222,7 +223,7 @@ class TestLimitingProbability:
         r = limiting_probability(c)
         for i, term in enumerate(r.detail["terms"]):
             sub = np.array(term["correlation"])
-            est, se = orthant_mc(sub, 2_000_000, seed=50 + i)
+            est, se = orthants_mc(sub, positive_orthant(len(sub)), 2_000_000, 50 + i)[0]
             assert abs(term["L"] - est) <= 4 * se + 1e-6
 
     def test_dual_m5_uses_mc_and_reports_stderr(self, rng):
@@ -234,7 +235,8 @@ class TestLimitingProbability:
         assert r.stderr == math.sqrt(math.fsum(t["stderr"] ** 2 for t in r.detail["terms"]))
         for i, t in enumerate(r.detail["terms"]):
             assert round(t["L"] * 100_000) / 100_000 == t["L"]  # a count of the 100 000 samples
-            est, se = orthant_mc(np.array(t["correlation"]), 400_000, seed=(9, i))
+            sub = np.array(t["correlation"])
+            est, se = orthants_mc(sub, positive_orthant(len(sub)), 400_000, (9, i))[0]
             assert abs(t["L"] - est) <= 5 * math.hypot(t["stderr"], se)
 
     @pytest.mark.parametrize("m", [5, 6])
@@ -256,7 +258,8 @@ class TestLimitingProbability:
         for i, t in enumerate(r.detail["terms"]):
             assert t["method"] == "monte-carlo"
             # each term on its own, from the per-candidate stream (seed, i)
-            est, se = orthant_mc(np.array(t["correlation"]), 200_000, seed=(DEFAULT_SEED, i))
+            sub = np.array(t["correlation"])
+            est, se = orthants_mc(sub, positive_orthant(len(sub)), 200_000, (DEFAULT_SEED, i))[0]
             assert abs(t["L"] - est) <= 5 * math.hypot(t["stderr"], se)
 
     def test_two_reversed_orders_m5_is_one(self):
@@ -359,31 +362,40 @@ class TestTable1Data:
         assert kinds.count("sum3") == 1
 
     def test_audit_rows_pinned(self):
-        # audit_table1 keeps orthant_mc's stream per (seed, row, candidate); the stderr is
-        # sqrt(sum L (1 - L) / samples) over the terms' closed values L
+        # audit_table1 draws each row's balanced terms on one stream per (seed, row); the stderr
+        # is sqrt(sum L (1 - L) / samples) over the terms' closed values L
         rows = audit_table1(samples=20_001, seed=3)
         assert [(r.number, r.mc_value, r.mc_stderr) for r in rows if r.mc_stderr > 0] == [
-            (1, 0.9121043947802611, 0.005633925024934517),
-            (2, 0.8106094695265236, 0.004804138364657729),
+            (1, 0.9163541822908854, 0.005633925024934517),
+            (2, 0.8105594720263987, 0.004804138364657729),
             (3, 0.808059597020149, 0.004804138364657729),
-            (4, 0.8084095795210239, 0.004804138364657729),
-            (5, 0.8061596920153992, 0.004804138364657729),
+            (4, 0.8025598720063997, 0.004804138364657729),
+            (5, 0.8069596520173992, 0.004804138364657729),
             (6, 0.5000249987500625, 0.003535445520899514),
             (7, 1.0, 0.004999875004687304),
             (8, 0.4999750012499375, 0.003535445520899514),
             (10, 0.5000249987500625, 0.003535445520899514),
             (12, 1.0, 0.004999875004687304),
             (13, 0.4999750012499375, 0.003535445520899514),
-            (18, 0.8038598070096494, 0.004804138364657729),
-            (19, 0.8036598170091496, 0.004804138364657729),
+            (18, 0.8026098695065247, 0.004804138364657729),
+            (19, 0.8049097545122743, 0.004804138364657729),
             (21, 0.4999750012499375, 0.003535445520899514),
-            (22, 0.4999750012499375, 0.003535445520899514),
+            (22, 0.5000249987500625, 0.003535445520899514),
             (25, 1.0, 0.004999875004687304),
         ]
         assert [(r.number, r.mc_value) for r in rows if r.mc_stderr == 0] == [
             (9, 1.0), (11, 1.0), (14, 1.0), (15, 1.0), (16, 1.0), (17, 0.0),
             (20, 1.0), (23, 1.0), (24, 0.0), (26, 1.0), (27, 1.0),
         ]
+
+    def test_audit_row_is_its_forced_terms_plus_one_shared_draw(self):
+        # The draw is limiting_probability's: the joint matrix and groups of the row's decomposition.
+        rows = audit_table1(samples=10_001, seed=5)
+        for row, audited in zip(TABLE1, rows):
+            _, parts, joint = _decomposition(sign_pattern_culture(row.signs), DELTA_SIGN_TOL)
+            groups = [group for _, _, group in parts if group]
+            estimates = iter(orthants_mc(joint, groups, 10_001, (5, row.number)) if groups else [])
+            assert audited.mc_value == sum(next(estimates)[0] if group else forced for forced, _, group in parts)
 
     def test_audit_passes_at_one_sample(self):
         # Every term's estimate is 0 or 1; the stderr comes from the terms' closed values.

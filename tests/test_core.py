@@ -23,7 +23,6 @@ from condorcet import (
     may_bound,
     mc_winner_probability,
     order_index,
-    orthant_mc,
     pair_signs,
     pairwise_win_probability,
 )
@@ -100,11 +99,15 @@ INTEGER_ARGUMENTS = {
         lambda x: mc_winner_probability(IC3, x, McConfig(trials=10)), "voter count", 2**63 - 1, 2**63,
         ">= 1 and below 2**63",
     ),
-    "orthant_mc-seed": (
-        lambda x: orthant_mc(np.eye(2), 10, seed=x), "seed", 5, 2**64, "an unsigned 64-bit integer",
+    "orthant_mc-seed": (  # orthants_mc with an int seed
+        lambda x: orthants_mc(np.eye(2), [[(0, 1), (1, 1)]], 10, seed=x), "seed", 5, 2**64,
+        "an unsigned 64-bit integer",
     ),
     "orthants_mc-seed-tuple": (
         lambda x: orthants_mc(np.eye(2), [[(0, 1)]], 10, seed=(1, x)), "seed", 0, -1, "an unsigned 64-bit integer",
+    ),
+    "orthants_mc-coordinate": (
+        lambda x: orthants_mc(np.eye(2), [[(x, 1)]], 10, seed=0), "coordinate", 1, 2, "in [0, 1]",
     ),
     "exact_winner_probability-budget": (
         lambda x: exact_winner_probability(IC3, 3, budget=x), "budget", 56, 0, ">= 1",

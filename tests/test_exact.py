@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -392,6 +393,17 @@ class TestExactWinnerProbability:
             exact_winner_probability(c, n)
         assert time.perf_counter() - start < 0.05
         assert str(excinfo.value).startswith(f"1.70e+584326 compositions of n={n} voters over 40320 orders")
+
+    @pytest.mark.parametrize("m, n", [(4, 2**1000), (8, 2**3000)], ids=["m4-2**1000", "m8-2**3000"])
+    def test_count_text_past_the_float_range_matches_mpmath(self, m, n):
+        # n / k overflows a float. At such n, log C(n + s - 1, s - 1) is (s - 1) log n - log (s - 1)!
+        # within s**2 / n relative.
+        s = math.factorial(m)
+        with mpmath.workdps(30):
+            log10 = float(((s - 1) * mpmath.log(n) - mpmath.loggamma(s)) / mpmath.log(10))
+        with pytest.raises(EnumerationBudgetError) as excinfo:
+            exact_winner_probability(impartial_culture(m), n)
+        assert str(excinfo.value).startswith(f"{exact_module._count_text(None, log10)} compositions of n={n} ")
 
     @pytest.mark.parametrize(
         "count, text",

@@ -17,12 +17,12 @@ from condorcet import (
     load_culture_file,
     mc_convergence_sweep,
     mc_winner_probability,
-    orthant_mc,
+    orthants_mc,
     pair_signs,
     save_culture,
 )
 from condorcet import core, montecarlo
-from conftest import random_culture, random_dual_culture
+from conftest import positive_orthant, random_culture, random_dual_culture
 
 
 def block_streams(entropy, trials: int, block: int):
@@ -75,7 +75,7 @@ class TestDeterminism:
             return (
                 mc_winner_probability(c, 6, cfg),  # n >= s: 4 blocks
                 mc_winner_probability(impartial_culture(4), 5, cfg),  # 5 voters, 24 orders: 4 blocks
-                [orthant_mc(r, k, seed=(5, 2)) for k in counts],
+                [orthants_mc(r, positive_orthant(4), k, (5, 2))[0] for k in counts],
                 limiting_probability(dual, mc_samples=30_001, mc_seed=4),  # 3 blocks
             )
 

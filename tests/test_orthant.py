@@ -1,13 +1,14 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from condorcet import CorrelationMatrixError, equicorrelated_orthant, orthant_mc
+from condorcet import CorrelationMatrixError, equicorrelated_orthant
 from condorcet import orthant
 from condorcet.orthant import closed_orthant, orthants_mc
-from conftest import bacon_recursion
+from conftest import bacon_recursion, positive_orthant
 
 NEG = -math.inf
 POS = math.inf
@@ -66,7 +67,7 @@ class TestClosedForms:
         assert value == pytest.approx(0.20612, abs=5e-5)
 
     def test_d3_against_mc(self):
-        est, se = orthant_mc(equi(1 / 3, 3), 10_000_000, seed=21)
+        est, se = orthants_mc(equi(1 / 3, 3), positive_orthant(3), 10_000_000, 21)[0]
         value = closed_orthant(equi(1 / 3, 3))[0]
         assert abs(value - est) <= 4 * se
 
@@ -95,7 +96,7 @@ class TestClosedForms:
     )
     def test_bad_matrix_rejected_below_d4(self, r, reason):
         with pytest.raises(CorrelationMatrixError, match=reason):
-            orthant_mc(r, 1_000, seed=0)
+            orthants_mc(r, positive_orthant(len(r)), 1_000, 0)
 
 
 class TestEquicorrelatedIntegral:
@@ -149,25 +150,25 @@ class TestBaconRecursion:
 
 class TestOrthantMc:
     def test_identity_3d(self):
-        est, se = orthant_mc(np.eye(3), 500_000, seed=3)
+        est, se = orthants_mc(np.eye(3), positive_orthant(3), 500_000, 3)[0]
         assert abs(est - 1 / 8) <= 4 * se
 
     def test_equicorrelated_2d_large(self):
-        est, se = orthant_mc(equi(1 / 3, 2), 10_000_000, seed=4)
+        est, se = orthants_mc(equi(1 / 3, 2), positive_orthant(2), 10_000_000, 4)[0]
         assert abs(est - 0.30409) <= 4 * se + 1e-5
 
     def test_deterministic_per_seed(self):
         r = equi(0.5, 3)
-        assert orthant_mc(r, 100_000, seed=6) == orthant_mc(r, 100_000, seed=6)
+        assert orthants_mc(r, positive_orthant(3), 100_000, 6) == orthants_mc(r, positive_orthant(3), 100_000, 6)
 
     def test_perfect_correlation_handled_with_jitter(self):
-        est, se = orthant_mc(equi(1.0, 2), 100_000, seed=1)
+        est, se = orthants_mc(equi(1.0, 2), positive_orthant(2), 100_000, 1)[0]
         assert abs(est - 0.5) <= 4 * se
 
     def test_non_psd_rejected(self):
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(CorrelationMatrixError):
-            orthant_mc(bad, 1000, seed=0)
+            orthants_mc(bad, positive_orthant(3), 1000, 0)
 
     def test_negative_eigenvalue_beyond_the_jitter_rejected(self):
         # The smallest eigenvalue, 1 + 2 rho = -5e-10, passes the 1e-9 semidefinite check, but a
@@ -175,21 +176,21 @@ class TestOrthantMc:
         r = equi(-0.5 - 2.5e-10, 3)
         assert -1e-9 < np.linalg.eigvalsh(r).min() < -1e-10
         with pytest.raises(CorrelationMatrixError, match="within jitter 1e-10"):
-            orthant_mc(r, 1000, seed=0)
+            orthants_mc(r, positive_orthant(3), 1000, 0)
 
     def test_not_a_correlation_matrix(self):
         with pytest.raises(CorrelationMatrixError):
-            orthant_mc(np.array([[2.0, 0.0], [0.0, 1.0]]), 1000, seed=0)
+            orthants_mc(np.array([[2.0, 0.0], [0.0, 1.0]]), positive_orthant(2), 1000, 0)
 
     def test_empty_matrix_is_the_whole_space(self):
-        assert orthant_mc(np.zeros((0, 0))) == (1.0, 0.0)
+        assert orthants_mc(np.zeros((0, 0)), positive_orthant(0))[0] == (1.0, 0.0)
 
     @pytest.mark.parametrize("samples", [2, 1_000, 100_000])
     def test_each_antithetic_pair_hits_once_on_a_half_space(self, samples):
         # In one dimension, and on a perfectly correlated pair, exactly one
         # of u and -u lies in the orthant, so an even count gives exactly 1/2.
-        assert orthant_mc(np.eye(1), samples, seed=7)[0] == 0.5
-        assert orthant_mc(equi(1.0, 2), samples, seed=7)[0] == 0.5
+        assert orthants_mc(np.eye(1), positive_orthant(1), samples, 7)[0][0] == 0.5
+        assert orthants_mc(equi(1.0, 2), positive_orthant(2), samples, 7)[0][0] == 0.5
 
     @pytest.mark.parametrize(
         "r",
@@ -197,29 +198,66 @@ class TestOrthantMc:
         ids=["d2", "d3", "d4"],
     )
     def test_reported_stderr_bounds_the_spread_over_seeds(self, r):
-        runs = np.array([orthant_mc(r, 2_000, seed=s) for s in range(400)])
+        runs = np.array([orthants_mc(r, positive_orthant(len(r)), 2_000, s)[0] for s in range(400)])
         assert runs[:, 0].std(ddof=1) <= 1.1 * runs[:, 1].mean()
 
     @pytest.mark.parametrize("samples", [1e5, 2.0, True, 0, -1])
     def test_sample_count_must_be_a_positive_integer(self, samples):
         with pytest.raises(ValueError, match="samples"):
-            orthant_mc(np.eye(2), samples, seed=0)
+            orthants_mc(np.eye(2), positive_orthant(2), samples, 0)
 
     def test_value_pinned(self):
-        # audit_table1 and the benchmark read this stream; it must not move
+        # the sampler's streams are part of every seeded result; they must not move
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
-        assert orthant_mc(r, 30_001, seed=(5, 2)) == (0.019732675577480752, 0.0008029664238924055)
+        estimate = orthants_mc(r, positive_orthant(4), 30_001, (5, 2))[0]
+        assert estimate == (0.019732675577480752, 0.0008029664238924055)
 
     @pytest.mark.parametrize("seed", [None, True, 1.5, (1, True), (), [5, 2]])
     def test_seed_is_an_int_or_a_tuple_of_ints(self, seed):
         # None would draw fresh OS entropy and True would read as seed 1.
         with pytest.raises(ValueError, match="^seed must be an integer, got "):
-            orthant_mc(np.eye(2), 100, seed=seed)
-        with pytest.raises(ValueError, match="^seed must be an integer, got "):
             orthants_mc(np.eye(2), [[(0, 1)]], 100, seed=seed)
 
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ((-1, 1), "coordinate must be in [0, 1], got -1"),
+            ((2, 1), "coordinate must be in [0, 1], got 2"),
+            ((True, 1), "coordinate must be an integer, got True"),
+            ((1.0, 1), "coordinate must be an integer, got 1.0"),
+            ((0, 0), "sign must be 1 or -1, got 0"),
+            ((0, 2), "sign must be 1 or -1, got 2"),
+            ((0, True), "sign must be an integer, got True"),
+            ((0, -1.0), "sign must be an integer, got -1.0"),
+        ],
+        ids=["coordinate-negative", "coordinate-d", "coordinate-bool", "coordinate-float", "sign-0", "sign-2",
+             "sign-bool", "sign-float"],
+    )
+    def test_malformed_group_rejected(self, group, message):
+        # A coordinate of -1 would read the last coordinate, and a sign of 0 no test at all.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            orthants_mc(np.eye(2), [[(0, 1)], [(1, -1), group]], 1_000, 0)
+
+    def test_numpy_integer_coordinates_and_signs_accepted(self):
+        groups = [[(np.int64(1), np.int8(-1)), (np.uint8(0), np.int64(1))]]
+        assert orthants_mc(np.eye(2), groups, 1_001, 5) == orthants_mc(np.eye(2), [[(1, -1), (0, 1)]], 1_001, 5)
+
+    def test_unread_coordinates_are_not_drawn(self):
+        # Only the coordinates that some group reads are drawn, so the draw on R equals,
+        # bit for bit, the draw on R restricted to them.
+        a = np.random.default_rng(2).standard_normal((5, 8))
+        cov = a @ a.T
+        r = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        np.fill_diagonal(r, 1.0)
+        groups = [[(1, 1), (4, -1)], [(3, 1), (1, -1), (4, 1)], []]
+        restricted = [[(0, 1), (2, -1)], [(1, 1), (0, -1), (2, 1)], []]
+        read = [1, 3, 4]
+        expected = orthants_mc(r[np.ix_(read, read)], restricted, 100_001, (4, 1))
+        assert orthants_mc(r, groups, 100_001, (4, 1)) == expected
+
     def test_numpy_integer_sample_count_accepted(self):
-        assert orthant_mc(np.eye(2), np.int64(1_001), seed=5) == orthant_mc(np.eye(2), 1_001, seed=5)
+        group = positive_orthant(2)
+        assert orthants_mc(np.eye(2), group, np.int64(1_001), 5) == orthants_mc(np.eye(2), group, 1_001, 5)
 
     def test_each_public_entry_validates_the_matrix_once(self, monkeypatch):
         calls = []
@@ -227,7 +265,7 @@ class TestOrthantMc:
         monkeypatch.setattr(orthant, "validate_correlation_matrix", lambda r: calls.append(1) or validate(r))
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)  # no closed form: a Monte Carlo term
         for evaluate in (
-            lambda: orthant_mc(r, 1_000, seed=0),
+            lambda: orthants_mc(r, positive_orthant(4), 1_000, 0),
             lambda: orthants_mc(r, [[(0, 1), (1, -1)], [(2, 1)]], 1_000, seed=0),
         ):
             calls.clear()

@@ -24,7 +24,7 @@ EXPORTS = (
     "exact_winner_probability", "ic_curve", "ic_limit_closed", "ic_limit_sampford", "impartial_culture",
     "is_dual_culture", "lambda_matrix", "limiting_probability", "load_culture_file", "may_bound",
     "mc_convergence_sweep", "mc_winner_probability", "minimum_table", "minimum_winner_probability",
-    "order_index", "orthant_mc", "pair_signs", "pairwise_win_probability", "save_culture",
+    "order_index", "orthants_mc", "pair_signs", "pairwise_win_probability", "save_culture",
     "sign_pattern_culture", "tie_probability",
 )
 
