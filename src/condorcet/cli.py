@@ -40,7 +40,7 @@ from .exact import (
     exact_winner_probability,
     minimum_table,
 )
-from .montecarlo import McConfig, mc_convergence_sweep
+from .montecarlo import mc_convergence_sweep
 from .orthant import DEFAULT_MC_SAMPLES, CorrelationMatrixError
 
 DEFAULT_TRIALS = 100_000
@@ -139,10 +139,9 @@ def _cmd_exact(args) -> int:
 
 def _cmd_mc(args) -> int:
     culture = load_culture(args.culture, args.m)
-    config = McConfig(trials=args.trials, seed=args.seed, mode=WinnerMode(args.mode))
     rows = [
-        {"n": n, "estimate": r.value, "stderr": r.stderr, "trials": config.trials, "seed": config.seed}
-        for n, r in mc_convergence_sweep(culture, sorted(args.n), config)
+        {"n": n, "estimate": r.value, "stderr": r.stderr, "trials": args.trials, "seed": args.seed}
+        for n, r in mc_convergence_sweep(culture, sorted(args.n), args.trials, args.seed, WinnerMode(args.mode))
     ]
     lines = [f"n={r['n']}  {r['estimate']:.5f} (stderr {r['stderr']:.5f})" for r in rows]
     _emit(args, rows, lines)

@@ -21,7 +21,6 @@ choices, so memory stays bounded at any trial count or m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,24 +35,7 @@ from .core import (
 )
 from .culture import Culture, count_argument, integer_argument, pair_signs, seed_argument
 
-__all__ = ["McConfig", "mc_convergence_sweep", "mc_winner_probability"]
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Trial count, seed, and winner mode for one estimation run.
-
-    ``trials`` must be a positive int and ``seed`` an int in [0, 2**64), numpy
-    integers included; bools and floats raise ValueError.
-    """
-
-    trials: int
-    seed: int = DEFAULT_SEED
-    mode: WinnerMode = WinnerMode.STRONG
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", count_argument(self.trials, "trials"))
-        object.__setattr__(self, "seed", seed_argument(self.seed, "seed"))
+__all__ = ["mc_convergence_sweep"]
 
 
 class _GuideTable:
@@ -131,31 +113,21 @@ class _WinLanes:
         return 2 * wins.view(self.lane)[:, : self.pairs].astype(np.int64) - self.n
 
 
-def mc_winner_probability(culture: Culture, n: int, config: McConfig) -> WinnerProbability:
-    """Estimate the probability that a winner exists among n voters.
-
-    Draws ``config.trials`` independent profiles over the s orders of the
-    culture's support and reports the winning fraction with its binomial
-    standard error. When n >= s a profile is a multinomial vector of s vote
-    counts; when n < s it is n voter choices, drawn through a guide table
-    with the indices ``Generator.choice`` would return, whose pair wins are
-    counted in packed lanes. The result depends only on (seed, trials),
-    and each stream block holds about 2**16 vote counts or voter choices
-    whatever the trial count or the number of orders. ``n`` must be an int in
-    [1, 2**63), numpy integers included; bools and floats raise ValueError.
-    """
-    [(_, result)] = mc_convergence_sweep(culture, [n], config)
-    return result
-
-
 def mc_convergence_sweep(
-    culture: Culture, ns: list[int], config: McConfig
+    culture: Culture, ns: list[int], trials: int, seed: int = DEFAULT_SEED, mode: WinnerMode = WinnerMode.STRONG
 ) -> list[tuple[int, WinnerProbability]]:
-    """One estimate per electorate size, for tracing the approach to the limit.
+    """One estimate of the probability that a winner exists per electorate size in ``ns``.
 
-    Each row equals the :func:`mc_winner_probability` call at its n; the
-    guide table and the multinomial rows are built once for all of them.
+    Row (n, estimate) holds the winning fraction of ``trials`` profiles of n
+    voters, drawn as the module describes, with its binomial standard error.
+    It depends only on (seed, trials) and equals the row of the one-size sweep
+    ``[n]``; the guide table and the multinomial rows are built once for all
+    rows. ``ns`` must be non-empty and ascending, each n an int in [1, 2**63);
+    ``trials`` must be a positive int and ``seed`` an int in [0, 2**64), numpy
+    integers included; bools and floats raise ValueError.
     """
+    trials = count_argument(trials, "trials")
+    seed = seed_argument(seed, "seed")
     if not ns:
         raise ValueError("need at least one electorate size")
     if list(ns) != sorted(ns):
@@ -165,7 +137,7 @@ def mc_convergence_sweep(
     support = culture.support()
     s = len(support)
     probs = culture.probs[support]
-    threshold = config.mode.margin_threshold
+    threshold = mode.margin_threshold
     guide = _GuideTable(probs) if counts[0] < s else None
     rows = pair_signs(culture.m)[support].astype(np.int64) if counts[-1] >= s else None  # (s, P)
 
@@ -184,8 +156,8 @@ def mc_convergence_sweep(
             mask = winners_mask(margins(rng, size), culture.m, threshold)
             return [np.count_nonzero(mask.any(axis=0))]
 
-        [(value, stderr)] = seeded_fraction([config.seed, 0], config.trials, min(n, s), hits)
-        detail = {"trials": config.trials, "seed": config.seed}
+        [(value, stderr)] = seeded_fraction([seed, 0], trials, min(n, s), hits)
+        detail = {"trials": trials, "seed": seed}
         return WinnerProbability(value, Method.MONTE_CARLO, stderr=stderr, detail=detail)
 
     return [(n, estimate(count)) for n, count in zip(ns, counts)]

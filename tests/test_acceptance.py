@@ -12,7 +12,6 @@ import numpy as np
 
 from condorcet import (
     Culture,
-    McConfig,
     audit_table1,
     case7_culture,
     case17_culture,
@@ -25,7 +24,7 @@ from condorcet import (
     lambda_matrix,
     limiting_probability,
     may_bound,
-    mc_winner_probability,
+    mc_convergence_sweep,
     minimum_table,
     minimum_winner_probability,
     pairwise_win_probability,
@@ -169,9 +168,7 @@ def test_criterion_6_triple_method_agreement():
     for culture in panel:
         for n in (3, 5, 7):
             exact = exact_winner_probability(culture, n).value
-            mc = mc_winner_probability(
-                culture, n, McConfig(trials=1_000_000, seed=1000 + cells)
-            )
+            [(_, mc)] = mc_convergence_sweep(culture, [n], 1_000_000, seed=1000 + cells)
             cells += 1
             if abs(exact - mc.value) <= 4 * max(mc.stderr, 1e-12):
                 within += 1
@@ -179,7 +176,7 @@ def test_criterion_6_triple_method_agreement():
     worst_trend = 0.0
     for k, culture in enumerate(panel):
         limit = limiting_probability(culture).value
-        mc = mc_winner_probability(culture, 2001, McConfig(trials=1_000_000, seed=5000 + k))
+        [(_, mc)] = mc_convergence_sweep(culture, [2001], 1_000_000, seed=5000 + k)
         gap = abs(mc.value - limit)
         worst_trend = max(worst_trend, gap)
         if gap > 4 * mc.stderr + 0.01:
@@ -224,11 +221,8 @@ def test_criterion_8_property_suites():
         if limiting_probability(culture).detail["terms_sum"] > 1.0 + 1e-10:
             term_sum = False
     culture = random_culture(rng, 3)
-    cfg = McConfig(trials=50_000, seed=4321)
-    mc_deterministic = (
-        mc_winner_probability(culture, 9, cfg).value
-        == mc_winner_probability(culture, 9, cfg).value
-    )
+    first, second = (mc_convergence_sweep(culture, [9], 50_000, seed=4321) for _ in range(2))
+    mc_deterministic = first == second
     ok = lam_antisymmetric and lam_identity and psd and term_sum and mc_deterministic
     assert report(
         8,

@@ -18,6 +18,7 @@ from condorcet import (
     correlation_matrix,
     cyclic_minimizer_culture,
     enumerate_rank_orders,
+    exact_winner_probability,
     ic_curve,
     ic_limit_closed,
     ic_limit_sampford,
@@ -418,6 +419,20 @@ class TestImpartialLimits:
     def test_m3_closed_form(self):
         expected = 0.75 + 3.0 / (2.0 * math.pi) * math.asin(1 / 3)
         assert ic_limit_closed(3) == pytest.approx(expected, abs=1e-15)
+
+    def test_exact_values_approach_the_m3_limit_like_one_over_n(self):
+        # With every pair balanced the gap closes like c / n at odd n, so one
+        # Richardson step R(a, b) = (b E_b - a E_a) / (b - a) removes its leading term.
+        ic = impartial_culture(3)
+        limit = limiting_probability(ic).value
+        exact = {n: exact_winner_probability(ic, n).value for n in (11, 21, 41)}
+        scaled = [n * (value - limit) for n, value in exact.items()]
+        assert scaled[0] > scaled[1] > scaled[2] > 0.0
+
+        def richardson(a, b):
+            return (b * exact[b] - a * exact[a]) / (b - a)
+
+        assert abs(richardson(21, 41) - limit) < abs(richardson(21, 41) - richardson(11, 21))
 
     def test_m4_closed_form(self):
         expected = 0.5 * (1.0 + 6.0 / math.pi * math.asin(1 / 3))

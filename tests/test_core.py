@@ -7,7 +7,6 @@ import pytest
 
 from condorcet import (
     Culture,
-    McConfig,
     Method,
     WinnerProbability,
     candidate_pairs,
@@ -21,7 +20,7 @@ from condorcet import (
     ic_limit_sampford,
     impartial_culture,
     may_bound,
-    mc_winner_probability,
+    mc_convergence_sweep,
     order_index,
     pair_signs,
     pairwise_win_probability,
@@ -95,8 +94,8 @@ INTEGER_ARGUMENTS = {
     "ic_limit_sampford": (ic_limit_sampford, "candidate count", 2, 1, ">= 2"),
     "may_bound": (may_bound, "candidate count", 2, 1, ">= 2"),
     "equicorrelated_orthant": (lambda x: equicorrelated_orthant(0.3, x), "dimension", 1, 0, ">= 1"),
-    "mc_winner_probability": (
-        lambda x: mc_winner_probability(IC3, x, McConfig(trials=10)), "voter count", 2**63 - 1, 2**63,
+    "mc_winner_probability": (  # mc_convergence_sweep with one voter count
+        lambda x: mc_convergence_sweep(IC3, [x], 10), "voter count", 2**63 - 1, 2**63,
         ">= 1 and below 2**63",
     ),
     "orthant_mc-seed": (  # orthants_mc with an int seed

@@ -592,6 +592,27 @@ class TestMinimumBound:
                 minimum_winner_probability(3, n), abs=1e-10
             )
 
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_cyclic_culture_satisfies_the_first_order_conditions(self, m):
+        # P_n is a polynomial in the order probabilities p. Its gradient is
+        # dP_n/dp_j = n P(a winner exists | one voter casts order j, n - 1 cast iid
+        # cyclic orders), summed here over the compositions of the n - 1 voters
+        # on the m cyclic orders. At a minimum over the simplex it is equal on
+        # the support and no smaller off it.
+        support = cyclic_minimizer_culture(m).support()
+        signs = pair_signs(m).astype(np.int64)
+        for n in range(2, 10):
+            gradient = np.zeros(len(signs))
+            for bars in itertools.combinations(range(n + m - 2), m - 1):
+                counts = np.diff((-1, *bars, n + m - 2)) - 1
+                weight = math.factorial(n - 1) / math.prod(map(math.factorial, counts)) / m ** (n - 1)
+                wins = winners_mask(counts @ signs[support] + signs, m, WinnerMode.STRONG.margin_threshold)
+                gradient += weight * wins.any(axis=0)
+            gradient *= n
+            target = n * minimum_winner_probability(m, n)
+            assert gradient[support] == pytest.approx(target, rel=1e-12)
+            assert np.delete(gradient, support).min() >= target * (1 - 1e-12)
+
     @pytest.mark.parametrize("m,n", [(6, 30), (7, 21)])
     def test_cyclic_minimum_beyond_63_bits_of_pair_tallies(self, m, n):
         # P = m(m-1)/2 pair tallies in base n + 1 need more than 63 bits here.

@@ -6,7 +6,6 @@ import pytest
 
 from condorcet import (
     Culture,
-    McConfig,
     Method,
     WinnerMode,
     case17_culture,
@@ -16,7 +15,6 @@ from condorcet import (
     limiting_probability,
     load_culture_file,
     mc_convergence_sweep,
-    mc_winner_probability,
     orthants_mc,
     pair_signs,
     save_culture,
@@ -43,38 +41,35 @@ def sparse_culture(m: int, size: int, seed: int) -> Culture:
 class TestDeterminism:
     def test_same_seed_same_estimate(self):
         c = impartial_culture(3)
-        cfg = McConfig(trials=50_000, seed=42)
-        a = mc_winner_probability(c, 7, cfg)
-        b = mc_winner_probability(c, 7, cfg)
-        assert a.value == b.value
-        assert a.stderr == b.stderr
+        a = mc_convergence_sweep(c, [7], 50_000, seed=42)
+        b = mc_convergence_sweep(c, [7], 50_000, seed=42)
+        assert a == b
 
     def test_different_seed_differs(self):
         c = impartial_culture(3)
-        a = mc_winner_probability(c, 7, McConfig(trials=50_000, seed=1))
-        b = mc_winner_probability(c, 7, McConfig(trials=50_000, seed=2))
+        [(_, a)] = mc_convergence_sweep(c, [7], 50_000, seed=1)
+        [(_, b)] = mc_convergence_sweep(c, [7], 50_000, seed=2)
         assert a.value != b.value
 
     def test_thread_variable_changes_nothing(self, monkeypatch):
         c = impartial_culture(3)
-        cfg = McConfig(trials=40_000, seed=5)
         monkeypatch.delenv("CONDORCET_THREADS", raising=False)
-        unset = mc_winner_probability(c, 5, cfg)
+        unset = mc_convergence_sweep(c, [5], 40_000, seed=5)
         monkeypatch.setenv("CONDORCET_THREADS", "3")
-        assert mc_winner_probability(c, 5, cfg) == unset
+        assert mc_convergence_sweep(c, [5], 40_000, seed=5) == unset
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("path", ["inline", "pooled"])
     def test_worker_count_changes_nothing(self, monkeypatch, workers, path):
-        c, cfg = impartial_culture(3), McConfig(trials=40_001, seed=11, mode=WinnerMode.WEAK)
+        c, weak = impartial_culture(3), {"trials": 40_001, "seed": 11, "mode": WinnerMode.WEAK}
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
         counts = (1, 3_000, 3_001, 100_001)  # an odd count ends on half an antithetic pair
         dual = random_dual_culture(np.random.default_rng(3), 5)  # five terms, one shared draw
 
         def estimates():
             return (
-                mc_winner_probability(c, 6, cfg),  # n >= s: 4 blocks
-                mc_winner_probability(impartial_culture(4), 5, cfg),  # 5 voters, 24 orders: 4 blocks
+                mc_convergence_sweep(c, [6], **weak),  # n >= s: 4 blocks
+                mc_convergence_sweep(impartial_culture(4), [5], **weak),  # 5 voters, 24 orders: 4 blocks
                 [orthants_mc(r, positive_orthant(4), k, (5, 2))[0] for k in counts],
                 limiting_probability(dual, mc_samples=30_001, mc_seed=4),  # 3 blocks
             )
@@ -113,21 +108,20 @@ class TestDeterminism:
     def test_full_support_stream_is_pinned(self):
         # With full support and n >= m! the draw is the multinomial over all
         # orders; these values pin its stream, which the mc-deep workload uses.
-        r = mc_winner_probability(impartial_culture(3), 7, McConfig(50_000, seed=42))
+        [(_, r)] = mc_convergence_sweep(impartial_culture(3), [7], 50_000, seed=42)
         assert r.value == 0.92756
         weights = np.arange(1, 25) % 3 + 1
         dense = Culture(4, weights / weights.sum())
-        assert mc_winner_probability(dense, 101, McConfig(20_000, seed=3)).value == 0.83815
+        assert mc_convergence_sweep(dense, [101], 20_000, seed=3)[0][1].value == 0.83815
 
     def test_voter_stream_is_pinned(self):
         # With n < s each voter's order is drawn on its own, as Generator.choice
         # draws it; these values pin that stream, which the mc-wide workload uses.
-        assert mc_winner_probability(impartial_culture(6), 101, McConfig(2_000, 1)).value == 0.682
+        assert mc_convergence_sweep(impartial_culture(6), [101], 2_000, 1)[0][1].value == 0.682
         sparse = sparse_culture(8, 60, seed=8)
-        assert mc_winner_probability(sparse, 31, McConfig(3_000, 2)).value == 1_652 / 3_000
-        weak = McConfig(20_000, 3, WinnerMode.WEAK)
-        assert mc_winner_probability(impartial_culture(4), 10, weak).value == 0.9744
-        assert mc_winner_probability(impartial_culture(6), 257, McConfig(500, 1)).value == 0.68
+        assert mc_convergence_sweep(sparse, [31], 3_000, 2)[0][1].value == 1_652 / 3_000
+        assert mc_convergence_sweep(impartial_culture(4), [10], 20_000, 3, WinnerMode.WEAK)[0][1].value == 0.9744
+        assert mc_convergence_sweep(impartial_culture(6), [257], 500, 1)[0][1].value == 0.68
 
 
 def _test_probs(kind: str, s: int) -> np.ndarray:
@@ -194,7 +188,7 @@ class TestWinLanes:
             assert np.array_equal(montecarlo._WinLanes(m, every, n).margins(support[idx]), expected)
             for mode in WinnerMode:
                 wins = core.winners_mask(expected, m, mode.margin_threshold).any(axis=0)
-                r = mc_winner_probability(culture, n, McConfig(trials, seed=n, mode=mode))
+                [(_, r)] = mc_convergence_sweep(culture, [n], trials, seed=n, mode=mode)
                 assert r.value == np.count_nonzero(wins) / trials
 
 
@@ -223,21 +217,19 @@ class TestEstimates:
     def test_degenerate_culture_is_exactly_one(self):
         p = np.zeros(6)
         p[3] = 1.0
-        r = mc_winner_probability(Culture(3, p), 11, McConfig(trials=10_000, seed=0))
+        [(_, r)] = mc_convergence_sweep(Culture(3, p), [11], 10_000, seed=0)
         assert r.method is Method.MONTE_CARLO
         assert r.value == 1.0
         assert r.stderr == 0.0
 
     def test_cyclic_n3_near_7_9(self):
-        r = mc_winner_probability(
-            cyclic_minimizer_culture(3), 3, McConfig(trials=1_000_000, seed=7)
-        )
+        [(_, r)] = mc_convergence_sweep(cyclic_minimizer_culture(3), [3], 1_000_000, seed=7)
         assert abs(r.value - 7 / 9) <= 4 * r.stderr
 
     def test_impartial_n5_near_exact(self):
         c = impartial_culture(3)
         exact = exact_winner_probability(c, 5).value
-        r = mc_winner_probability(c, 5, McConfig(trials=1_000_000, seed=8))
+        [(_, r)] = mc_convergence_sweep(c, [5], 1_000_000, seed=8)
         assert abs(r.value - exact) <= 4 * r.stderr
 
     @pytest.mark.parametrize(
@@ -253,7 +245,7 @@ class TestEstimates:
     )
     def test_pruned_draws_match_exact(self, culture, n):
         exact = exact_winner_probability(culture, n).value
-        r = mc_winner_probability(culture, n, McConfig(trials=200_000, seed=n))
+        [(_, r)] = mc_convergence_sweep(culture, [n], 200_000, seed=n)
         assert abs(r.value - exact) <= 5 * r.stderr
 
     def test_m8_csv_roundtrip(self, tmp_path):
@@ -265,10 +257,8 @@ class TestEstimates:
 
     def test_weak_mode_at_even_n_exceeds_strong(self):
         c = impartial_culture(3)
-        strong = mc_winner_probability(c, 6, McConfig(trials=200_000, seed=3))
-        weak = mc_winner_probability(
-            c, 6, McConfig(trials=200_000, seed=3, mode=WinnerMode.WEAK)
-        )
+        [(_, strong)] = mc_convergence_sweep(c, [6], 200_000, seed=3)
+        [(_, weak)] = mc_convergence_sweep(c, [6], 200_000, seed=3, mode=WinnerMode.WEAK)
         assert weak.value > strong.value
 
     def test_coverage_over_random_cultures(self):
@@ -278,15 +268,15 @@ class TestEstimates:
             c = random_culture(rng)
             n = int(rng.choice([2, 3, 4, 5, 6, 7]))
             exact = exact_winner_probability(c, n).value
-            r = mc_winner_probability(c, n, McConfig(trials=100_000, seed=int(rng.integers(2**32))))
+            [(_, r)] = mc_convergence_sweep(c, [n], 100_000, seed=int(rng.integers(2**32)))
             if abs(r.value - exact) <= 4 * max(r.stderr, 1e-12):
                 hits += 1
         assert hits >= 48
 
     def test_stderr_scaling(self):
         c = impartial_culture(3)
-        small = mc_winner_probability(c, 6, McConfig(trials=40_000, seed=9))
-        large = mc_winner_probability(c, 6, McConfig(trials=160_000, seed=10))
+        [(_, small)] = mc_convergence_sweep(c, [6], 40_000, seed=9)
+        [(_, large)] = mc_convergence_sweep(c, [6], 160_000, seed=10)
         ratio = large.stderr / small.stderr
         assert 0.5 * 0.8 <= ratio <= 0.5 * 1.2
 
@@ -294,13 +284,13 @@ class TestEstimates:
 class TestConvergenceSweep:
     def test_n1_matches_exact(self, rng):
         c = random_culture(rng)
-        ((n, r),) = mc_convergence_sweep(c, [1], McConfig(trials=5_000, seed=0))
+        ((n, r),) = mc_convergence_sweep(c, [1], 5_000, seed=0)
         assert n == 1
         assert r.value == 1.0
 
     def test_impartial_approaches_limit_from_above(self):
         c = impartial_culture(3)
-        rows = mc_convergence_sweep(c, [11, 101, 1001], McConfig(trials=200_000, seed=12))
+        rows = mc_convergence_sweep(c, [11, 101, 1001], 200_000, seed=12)
         limit = limiting_probability(c).value
         estimates = [r.value for _, r in rows]
         stderrs = [r.stderr for _, r in rows]
@@ -311,28 +301,26 @@ class TestConvergenceSweep:
         assert abs(estimates[-1] - limit) <= 4 * stderrs[-1] + 0.01
 
     def test_cycle_culture_decays_to_zero(self):
-        rows = mc_convergence_sweep(
-            case17_culture(), [101, 2001], McConfig(trials=100_000, seed=13)
-        )
+        rows = mc_convergence_sweep(case17_culture(), [101, 2001], 100_000, seed=13)
         assert rows[-1][1].value < 0.1
         assert rows[-1][1].value < rows[0][1].value
 
     def test_rows_equal_single_estimates(self, monkeypatch):
         # n = 51 and 300 draw by voter in uint8 and uint16 lanes, n = 5041 >= 7! by count.
-        c, cfg, ns = impartial_culture(7), McConfig(600, seed=5), [51, 300, 5041]
+        c, ns = impartial_culture(7), [51, 300, 5041]
         built = []
         guide = montecarlo._GuideTable
         monkeypatch.setattr(montecarlo, "_GuideTable", lambda probs: built.append(1) or guide(probs))
-        rows = mc_convergence_sweep(c, ns, cfg)
+        rows = mc_convergence_sweep(c, ns, 600, seed=5)
         assert len(built) == 1  # one guide table for the sweep
-        assert rows == [(n, mc_winner_probability(c, n, cfg)) for n in ns]
+        assert rows == [mc_convergence_sweep(c, [n], 600, seed=5)[0] for n in ns]
 
     def test_validation(self, rng):
         c = random_culture(rng)
         with pytest.raises(ValueError):
-            mc_convergence_sweep(c, [], McConfig(trials=10, seed=0))
+            mc_convergence_sweep(c, [], 10, seed=0)
         with pytest.raises(ValueError):
-            mc_convergence_sweep(c, [5, 3], McConfig(trials=10, seed=0))
+            mc_convergence_sweep(c, [5, 3], 10, seed=0)
 
 
 class TestConfig:
@@ -341,38 +329,37 @@ class TestConfig:
     )
     def test_voter_count_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match="voter count must be an integer"):
-            mc_winner_probability(impartial_culture(3), n, McConfig(trials=10))
+            mc_convergence_sweep(impartial_culture(3), [n], 10)
 
     def test_voter_count_range(self):
         c = impartial_culture(3)
         with pytest.raises(ValueError, match=r"^voter count must be >= 1 and below 2\*\*63, got 0$"):
-            mc_winner_probability(c, 0, McConfig(trials=10))
+            mc_convergence_sweep(c, [0], 10)
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
-            mc_winner_probability(c, 2**63, McConfig(trials=10))
-        assert mc_winner_probability(c, np.int64(2**63 - 1), McConfig(trials=10)).stderr >= 0.0
+            mc_convergence_sweep(c, [2**63], 10)
+        assert mc_convergence_sweep(c, [np.int64(2**63 - 1)], 10)[0][1].stderr >= 0.0
 
     def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            McConfig(trials=0)
+        with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+            mc_convergence_sweep(impartial_culture(3), [5], 0)
 
     @pytest.mark.parametrize("trials", [1e4, 100.7, True, "10"])
     def test_trials_must_be_an_integer(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            mc_winner_probability(impartial_culture(3), 5, McConfig(trials=trials))
+            mc_convergence_sweep(impartial_culture(3), [5], trials)
 
     def test_numpy_integer_trials_accepted(self):
-        cfg = McConfig(trials=np.int64(1_000), seed=4)
-        assert type(cfg.trials) is int
-        assert mc_winner_probability(impartial_culture(3), 5, cfg) == mc_winner_probability(
-            impartial_culture(3), 5, McConfig(trials=1_000, seed=4)
-        )
+        [(_, r)] = mc_convergence_sweep(impartial_culture(3), [5], np.int64(1_000), seed=np.uint64(4))
+        assert type(r.detail["trials"]) is int and type(r.detail["seed"]) is int
+        assert r == mc_convergence_sweep(impartial_culture(3), [5], 1_000, seed=4)[0][1]
 
     def test_seed_validated(self):
-        with pytest.raises(ValueError):
-            McConfig(trials=1, seed=-1)
-        with pytest.raises(ValueError):
-            McConfig(trials=1, seed=2**64)
+        c = impartial_culture(3)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"^seed must be an unsigned 64-bit integer, got {seed}$"):
+                mc_convergence_sweep(c, [5], 1, seed=seed)
         for seed in (1.5, True):
             with pytest.raises(ValueError, match="seed"):
-                McConfig(trials=1, seed=seed)
-        assert type(McConfig(trials=1, seed=np.uint64(2**64 - 1)).seed) is int
+                mc_convergence_sweep(c, [5], 1, seed=seed)
+        [(_, r)] = mc_convergence_sweep(c, [5], 1, seed=np.uint64(2**64 - 1))
+        assert r.detail["seed"] == 2**64 - 1 and type(r.detail["seed"]) is int

@@ -17,13 +17,13 @@ PACKAGE = ROOT / "src" / "condorcet"
 MODULES = ("asymptotic", "core", "culture", "exact", "montecarlo", "orthant")
 EXPORTS = (
     "TABLE1", "Culture", "CultureFormatError", "CorrelationMatrixError", "DEFAULT_COMPOSITION_BUDGET",
-    "DegenerateVarianceError", "EnumerationBudgetError", "McConfig", "Method", "Table1AuditRow", "Table1Row",
+    "DegenerateVarianceError", "EnumerationBudgetError", "Method", "Table1AuditRow", "Table1Row",
     "WinnerMode", "WinnerProbability", "audit_table1", "candidate_pairs", "case17_culture", "case7_culture",
     "classify_m3", "correlation_matrix", "culture_from_csv", "culture_from_json", "culture_to_csv",
     "culture_to_json", "cyclic_minimizer_culture", "enumerate_rank_orders", "equicorrelated_orthant",
     "exact_winner_probability", "ic_curve", "ic_limit_closed", "ic_limit_sampford", "impartial_culture",
     "is_dual_culture", "lambda_matrix", "limiting_probability", "load_culture_file", "may_bound",
-    "mc_convergence_sweep", "mc_winner_probability", "minimum_table", "minimum_winner_probability",
+    "mc_convergence_sweep", "minimum_table", "minimum_winner_probability",
     "order_index", "orthants_mc", "pair_signs", "pairwise_win_probability", "save_culture",
     "sign_pattern_culture", "tie_probability",
 )
