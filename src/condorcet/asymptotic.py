@@ -129,8 +129,8 @@ def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[
     candidate is the pair's second, and R is the joint matrix at those rows, sides applied; a
     forced term has [] and None.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     lam = culture.probs @ pair_signs(culture.m)
     columns, sides = pair_index(culture.m)
     signs = (((lam > tol).astype(int) - (lam < -tol))[columns] * sides).tolist()

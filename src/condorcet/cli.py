@@ -93,7 +93,8 @@ def _parse_count(text: str) -> int:
     number = float(text)
     if not (number >= 1 and number.is_integer()):  # also rejects inf and nan
         raise argparse.ArgumentTypeError(f"count must be a finite whole number >= 1, got {text!r}")
-    return int(number)
+    digits = text.strip().lstrip("+").replace("_", "")
+    return int(text) if digits.isdecimal() else int(number)  # integer text exactly, past 2**53 too
 
 
 def _emit(args, rows: list[dict], lines: list[str], obj=None) -> None:

@@ -2,10 +2,11 @@
 
 Candidates are the integers 0..m-1. A rank order is a tuple of all m
 candidates, most preferred first, and the K = m! orders are indexed in
-lexicographic sequence. Every probability vector in this package is aligned
-with that canonical indexing (index 0 is always (0, 1, ..., m-1)). Every
-method starts from one (K, P) table, each order's +/-1 preference on each
-pair of :func:`candidate_pairs` (:func:`pair_signs`).
+lexicographic sequence: an order's index is its Lehmer code read in the
+factorial base. Every probability vector in this package is aligned with that
+canonical indexing (index 0 is always (0, 1, ..., m-1)). Every method starts
+from one (K, P) table, each order's +/-1 preference on each pair of
+:func:`candidate_pairs` (:func:`pair_signs`).
 
 Every integer argument of the public API (a candidate count, a candidate, a
 voter or sample count, a seed, a budget) passes one rule,
@@ -112,28 +113,30 @@ def _validate_order(order) -> tuple[int, ...]:
     return o
 
 
-@lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would find the entry of np.int64(3)
-def enumerate_rank_orders(m: int) -> tuple[tuple[int, ...], ...]:
-    """Return all m! rank orders of m candidates in lexicographic order.
-
-    The position of an order in this sequence is its canonical index; every
-    culture probability vector is aligned with it.
-    """
-    return tuple(itertools.permutations(range(candidate_count_argument(m))))
-
-
-@lru_cache(maxsize=None)
-def _order_index_map(m: int) -> dict[tuple[int, ...], int]:
-    return {o: i for i, o in enumerate(enumerate_rank_orders(m))}
-
-
 @lru_cache(maxsize=None)
 def _order_array(m: int) -> np.ndarray:
-    """The orders of :func:`enumerate_rank_orders` as one cached, read-only (K, m) int8 array."""
-    orders = enumerate_rank_orders(m)
-    array = np.fromiter(itertools.chain.from_iterable(orders), np.int8, count=len(orders) * m).reshape(-1, m)
+    """All m! orders in canonical sequence as one cached, read-only (K, m) int8 array."""
+    orders = itertools.chain.from_iterable(itertools.permutations(range(m)))
+    array = np.fromiter(orders, np.int8, count=math.factorial(m) * m).reshape(-1, m)
     array.flags.writeable = False
     return array
+
+
+def _lehmer_index(orders) -> np.ndarray:
+    """Canonical index of each order in an (..., m) array: its Lehmer code, read in the factorial base."""
+    orders, m = np.asarray(orders), np.shape(orders)[-1]
+    # Digit i counts the later candidates ranked below the one at position i and is worth (m - 1 - i)!.
+    worth = np.triu(np.array([[math.factorial(m - 1 - i)] * m for i in range(m)], dtype=np.intp), 1)
+    return np.einsum("...ij,ij->...", orders[..., :, None] > orders[..., None, :], worth)
+
+
+@lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would find the entry of np.int64(3)
+def enumerate_rank_orders(m: int) -> tuple[tuple[int, ...], ...]:
+    """All m! rank orders of m candidates as tuples, in canonical (lexicographic) sequence.
+
+    A cached view of the order array for callers; no computation in this package reads it.
+    """
+    return tuple(map(tuple, _order_array(candidate_count_argument(m)).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -153,16 +156,14 @@ def _order_key_map(m: int) -> dict[str, int]:
 
 
 def order_index(order) -> int:
-    """Canonical index of a rank order within ``enumerate_rank_orders``."""
-    o = _validate_order(order)
-    return _order_index_map(len(o))[o]
+    """Canonical index of a rank order within ``enumerate_rank_orders``: its Lehmer code."""
+    return int(_lehmer_index(_validate_order(order)))
 
 
 @lru_cache(maxsize=None)
 def _dual_permutation(m: int) -> np.ndarray:
     """The index of each order's reversal: a cached, read-only intp array."""
-    index = _order_index_map(m)
-    dual = np.array([index[tuple(reversed(o))] for o in enumerate_rank_orders(m)], dtype=np.intp)
+    dual = _lehmer_index(_order_array(m)[:, ::-1])
     dual.flags.writeable = False
     return dual
 
@@ -257,9 +258,7 @@ def cyclic_minimizer_culture(m: int) -> Culture:
     """
     m = candidate_count_argument(m)
     probs = np.zeros(math.factorial(m))
-    for shift in range(m):
-        rotation = tuple((shift + off) % m for off in range(m))
-        probs[order_index(rotation)] = 1.0 / m
+    probs[_lehmer_index(np.add.outer(range(m), range(m)) % m)] = 1.0 / m  # row s is the rotation by s
     return Culture(m, probs)
 
 

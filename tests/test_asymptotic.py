@@ -177,6 +177,8 @@ class TestClassifyDeltas:
                 evaluate(impartial_culture(3), tol=-1.0)
             with pytest.raises(ValueError):
                 evaluate(impartial_culture(3), tol=math.nan)
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(cyclic_minimizer_culture(3), tol=math.inf)
 
     def test_nan_margin_rejected(self):
         # a culture with a NaN entry is refused, so no margin can be NaN

@@ -15,7 +15,7 @@ from condorcet import (
     load_culture_file,
     save_culture,
 )
-from condorcet.cli import _parse_int_list, load_culture, main
+from condorcet.cli import _parse_int_list, build_parser, load_culture, main
 from conftest import random_dual_culture
 
 
@@ -313,6 +313,13 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--budget", "--trials", "--samples"])
+    def test_integer_count_text_is_parsed_exactly(self, flag):
+        command = {"--budget": "exact", "--trials": "mc", "--samples": "limit"}[flag]
+        argv = [command, "--culture", "ic", "--m", "3", *(["--n", "3"] if command != "limit" else [])]
+        for text, count in [("9007199254740993", 2**53 + 1), (" +9_007_199_254_740_993 ", 2**53 + 1), ("1e7", 10**7)]:
+            assert getattr(build_parser().parse_args([*argv, flag, text]), flag[2:]) == count
+
     def test_voter_count_beyond_a_c_long_is_exit_2(self, capsys):
         argv = ("mc", "--culture", "ic", "--m", "3", "--n", "99999999999999999999", "--trials", "10")
         code, out, err = run_cli(capsys, *argv)
@@ -334,8 +341,10 @@ class TestExitCodes:
             ("limit", "--culture", "ic", "--m", "3", "--tol", "-1"),
             ("limit", "--culture", "cyclic", "--m", "3", "--tol", "nan"),
             ("classify", "--culture", "ic", "--m", "3", "--tol", "-1"),
+            ("limit", "--culture", "cyclic", "--m", "3", "--tol", "inf"),
+            ("classify", "--culture", "cyclic", "--m", "3", "--tol", "inf"),
         ],
-        ids=["limit-negative", "limit-nan", "classify-negative"],
+        ids=["limit-negative", "limit-nan", "classify-negative", "limit-inf", "classify-inf"],
     )
     def test_bad_tolerance_is_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

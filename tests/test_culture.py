@@ -2,8 +2,12 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,18 +176,42 @@ class TestPreferenceSigns:
         first, second = np.array(list(itertools.combinations(range(m), 2))).T
         expected = np.where(positions[:, first] < positions[:, second], 1, -1)
         assert np.array_equal(pair_signs(m), expected)
+        index = {o: i for i, o in enumerate(orders)}
+        assert np.array_equal(culture_module._lehmer_index(array), np.arange(len(orders)))
+        dual = _dual_permutation(m)
+        assert not dual.flags.writeable and dual.tolist() == [index[o[::-1]] for o in orders]
+        rotations = [tuple((s + k) % m for k in range(m)) for s in range(m)]
+        assert cyclic_minimizer_culture(m).support().tolist() == sorted(index[o] for o in rotations)
 
     def test_sign_tensor_peak_memory_at_m8(self):
-        # 8! * 28 signs are 1.1 MB as int8; one int64 intermediate would be 9 MB.
-        enumerate_rank_orders(8)  # cached order tuples are not part of the build
+        # 8! * 28 signs are 1.1 MB as int8; one int64 intermediate would be 9 MB. The order
+        # array is built in the same window: it is generated as int8, never through tuples.
         tracemalloc.start()
         try:
+            orders = culture_module._order_array.__wrapped__(8)
             signs = pair_signs.__wrapped__(8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert orders.dtype == np.int8 and orders.shape == (40320, 8)
         assert signs.dtype == np.int8 and signs.shape == (40320, 28)
         assert peak < 6 * 2**20
+
+    def test_no_package_path_builds_the_order_tuples(self, tmp_path):
+        probe = (
+            "import numpy as np, condorcet as c; from condorcet.culture import _dual_permutation as d\n"
+            "c.cyclic_minimizer_culture(8); u = c.impartial_culture(8)\n"
+            "w = np.random.default_rng(0).random(40320); w += w[d(8)]; assert c.is_dual_culture(c.Culture(8, w / w.sum()))\n"
+            "assert c.order_index(range(7, -1, -1)) == 40319; c.pair_signs(8)\n"
+            f"p = {str(tmp_path / 'ic8.csv')!r}; c.save_culture(u, p)\n"
+            "assert (c.load_culture_file(p).probs == u.probs).all()\n"
+            "print(c.enumerate_rank_orders.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(Path(culture_module.__file__).parents[1])},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestJointSign:

@@ -613,6 +613,26 @@ class TestMinimumBound:
             assert gradient[support] == pytest.approx(target, rel=1e-12)
             assert np.delete(gradient, support).min() >= target * (1 - 1e-12)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_frank_wolfe_search_never_goes_below_the_minimum(self, n):
+        # Frank-Wolfe over the m = 3 simplex from 6 Dirichlet(1) starts: step t moves
+        # toward the order with the smallest exact gradient entry (the composition sum
+        # above, over all 6 orders) by 2/(t + 3); 2/(t + 2) would land on one order at
+        # t = 0. The search need not converge; no iterate may beat the paper's minimum.
+        signs = pair_signs(3).astype(np.int64)
+        counts = np.array([np.diff((-1, *bars, n + 4)) - 1 for bars in itertools.combinations(range(n + 4), 5)])
+        weight = math.factorial(n - 1) / np.prod([[math.factorial(c) for c in row] for row in counts], axis=1)
+        margins = (counts @ signs)[:, None, :] + signs  # (compositions, cast order, pair)
+        wins = winners_mask(margins.reshape(-1, 3), 3, WinnerMode.STRONG.margin_threshold).any(axis=0)
+        wins = wins.reshape(len(counts), 6)
+        bound = minimum_winner_probability(3, n) - 1e-12
+        for p in np.random.default_rng(13).dirichlet(np.ones(6), size=6):
+            for t in range(21):
+                assert exact_winner_probability(Culture(3, p), n).value >= bound
+                if t < 20:
+                    gradient = n * (weight * np.prod(p**counts, axis=1)) @ wins
+                    p = p + 2 / (t + 3) * (np.eye(6)[np.argmin(gradient)] - p)
+
     @pytest.mark.parametrize("m,n", [(6, 30), (7, 21)])
     def test_cyclic_minimum_beyond_63_bits_of_pair_tallies(self, m, n):
         # P = m(m-1)/2 pair tallies in base n + 1 need more than 63 bits here.
