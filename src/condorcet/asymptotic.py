@@ -65,6 +65,7 @@ _TWO_PI = 2.0 * math.pi
 
 DELTA_SIGN_TOL = 1e-12
 DEGENERATE_MARGIN_TOL = 1e-12
+_ORDER_BLOCK = 2**13  # orders per float block of the sign table: at least 7!, so every m <= 7 table is one block
 
 # Integration threshold label per margin sign: a pairing won surely in the
 # limit frees its condition (-inf), one lost surely cannot hold (+inf).
@@ -79,10 +80,23 @@ class DegenerateVarianceError(ValueError):
     """
 
 
+def _moments(culture: Culture, columns=None) -> np.ndarray:
+    """The culture's mean of each ``pair_signs`` column or, given ``columns``, of each product s_p s_q of theirs.
+
+    Only a block of ``_ORDER_BLOCK`` orders is cast to float at a time; at m = 8 the sums run in block order.
+    """
+    signs, probs, total = pair_signs(culture.m), culture.probs, 0.0
+    for start in range(0, len(probs), _ORDER_BLOCK):
+        block, p = signs[start : start + _ORDER_BLOCK], probs[start : start + _ORDER_BLOCK]
+        rows = None if columns is None else block.T[columns].astype(float)  # (pairs, orders)
+        total = total + (p @ block if rows is None else (rows * p) @ rows.T)
+    return total
+
+
 def lambda_matrix(culture: Culture) -> np.ndarray:
     """Expected pairwise margins: entry [i, j] = 2 p_ij - 1, antisymmetric."""
     columns, sides = pair_index(culture.m)
-    return (culture.probs @ pair_signs(culture.m))[columns] * sides
+    return _moments(culture)[columns] * sides
 
 
 def _pair_correlation(culture: Culture, columns, lam: np.ndarray) -> np.ndarray:
@@ -97,8 +111,7 @@ def _pair_correlation(culture: Culture, columns, lam: np.ndarray) -> np.ndarray:
     if degenerate.any():
         pairs = [list(candidate_pairs(culture.m)[c]) for c in np.asarray(columns)[degenerate]]
         raise DegenerateVarianceError(f"margins of the pairs {pairs} are +/-1; the correlation entry is undefined")
-    rows = pair_signs(culture.m).T[columns].astype(float)  # (pairs, K)
-    second_moment = (rows * culture.probs) @ rows.T
+    second_moment = _moments(culture, columns)
     sd = np.sqrt(1.0 - lam_row**2)
     r = (second_moment - lam_row[:, None] * lam_row) / (sd[:, None] * sd)
     r = (r + r.T) / 2.0
@@ -116,7 +129,7 @@ def correlation_matrix(culture: Culture, i: int) -> np.ndarray:
     """
     i = integer_argument(i, "candidate i", 0, culture.m, f"in [0, {culture.m - 1}]")
     columns, sides = (np.delete(a[i], i) for a in pair_index(culture.m))
-    return _pair_correlation(culture, columns, culture.probs @ pair_signs(culture.m)) * np.outer(sides, sides)
+    return _pair_correlation(culture, columns, _moments(culture)) * np.outer(sides, sides)
 
 
 def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[tuple], np.ndarray | None]:
@@ -131,7 +144,7 @@ def _decomposition(culture: Culture, tol: float) -> tuple[list[list[int]], list[
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    lam = culture.probs @ pair_signs(culture.m)
+    lam = _moments(culture)
     columns, sides = pair_index(culture.m)
     signs = (((lam > tol).astype(int) - (lam < -tol))[columns] * sides).tolist()
     balanced = [  # None where a pairing is surely lost, else the (column, side) of each balanced rival

@@ -17,7 +17,6 @@ from condorcet import (
     classify_m3,
     correlation_matrix,
     cyclic_minimizer_culture,
-    enumerate_rank_orders,
     exact_winner_probability,
     ic_curve,
     ic_limit_closed,
@@ -28,10 +27,11 @@ from condorcet import (
     may_bound,
     order_index,
     orthants_mc,
+    pair_signs,
     pairwise_win_probability,
     sign_pattern_culture,
 )
-from condorcet.asymptotic import DELTA_SIGN_TOL, _decomposition
+from condorcet.asymptotic import DELTA_SIGN_TOL, _decomposition, _moments
 from condorcet.core import DEFAULT_SEED
 from condorcet.orthant import closed_orthant
 from conftest import bacon_recursion, positive_orthant, random_culture, random_dual_culture
@@ -114,37 +114,51 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix(impartial_culture(3), 3)
 
-    @pytest.mark.parametrize("size", [24, 5])
-    def test_margins_and_correlations_match_fraction_oracle(self, size):
-        # Weights k / 1024 are exact in binary, so the oracle sees the culture's own probabilities.
+    @pytest.mark.parametrize(
+        "m, size, total",
+        [(4, 24, 2**10), (4, 5, 2**10), (6, 720, 2**20), (7, 5040, 2**20), (8, 40320, 2**20)],
+        ids=["24", "5", "m6", "m7", "m8"],
+    )
+    def test_margins_and_correlations_match_fraction_oracle(self, m, size, total):
+        # Weights k / total are exact in binary and so is every partial sum of them, so the oracle
+        # is integer arithmetic on the weights plus one Fraction per entry. At m = 8 the culture is
+        # dense, so every block of the table's pass carries weight.
         rng = np.random.default_rng(size)
-        weights = np.zeros(24, dtype=np.int64)
-        weights[rng.choice(24, size, replace=False)] = rng.multinomial(1024 - size, np.ones(size) / size) + 1
-        c = Culture(4, weights / 1024)
-        probs = [Fraction(int(w), 1024) for w in weights]
-        orders = enumerate_rank_orders(4)
+        weights = np.zeros(math.factorial(m), dtype=np.int64)
+        weights[rng.choice(len(weights), size, replace=False)] = rng.multinomial(total - size, np.ones(size) / size) + 1
+        c = Culture(m, weights / total)
+        positions = np.argsort(list(itertools.permutations(range(m))), axis=1)
 
-        def sign(order, i, j):
-            return 1 if order.index(i) < order.index(j) else -1
+        def sign(i, j):
+            return np.where(positions[:, i] < positions[:, j], 1, -1)
 
-        lam = {(i, j): sum(p * sign(o, i, j) for p, o in zip(probs, orders)) for i in range(4) for j in range(4) if i != j}
-        assert np.all(np.abs(lambda_matrix(c) - [[float(lam.get((i, j), 0)) for j in range(4)] for i in range(4)]) <= 1e-15)
+        lam = {(i, j): Fraction(int(weights @ sign(i, j)), total) for i, j in itertools.permutations(range(m), 2)}
+        assert np.all(np.abs(lambda_matrix(c) - [[float(lam.get((i, j), 0)) for j in range(m)] for i in range(m)]) <= 1e-15)
         compared = 0
-        for i in range(4):
-            rivals = [j for j in range(4) if j != i]
+        for i in range(m):
+            rivals = [j for j in range(m) if j != i]
             if any(abs(lam[i, j]) == 1 for j in rivals):
                 with pytest.raises(DegenerateVarianceError):
                     correlation_matrix(c, i)
                 continue
-            expected = np.eye(3)
+            expected = np.eye(m - 1)
             for (a, j), (b, k) in itertools.permutations(enumerate(rivals), 2):
-                joint = sum(p * sign(o, i, j) * sign(o, i, k) for p, o in zip(probs, orders))
+                joint = Fraction(int(weights @ (sign(i, j) * sign(i, k))), total)
                 covariance = joint - lam[i, j] * lam[i, k]
                 variance = (1 - lam[i, j] ** 2) * (1 - lam[i, k] ** 2)
                 expected[a, b] = math.copysign(math.sqrt(covariance**2 / variance), covariance)
             assert np.all(np.abs(correlation_matrix(c, i) - expected) <= 1e-15)
             compared += 1
         assert compared >= 1
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_one_block_up_to_m7(self, m):
+        # Every m <= 7 table is one block of the limit pass, so its sums are the one-product forms, bit for bit.
+        c = random_dual_culture(np.random.default_rng(m), m)
+        columns = list(range(m * (m - 1) // 2))  # every pair of a dual culture is balanced
+        rows = pair_signs(m).T[columns].astype(float)
+        assert np.array_equal(_moments(c), c.probs @ pair_signs(m))
+        assert np.array_equal(_moments(c, columns), (rows * c.probs) @ rows.T)
 
 
 def thresholds(culture: Culture, tol: float = 1e-12) -> dict[tuple[int, int], float]:

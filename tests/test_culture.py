@@ -18,6 +18,7 @@ from condorcet import (
     Culture,
     CultureFormatError,
     candidate_pairs,
+    correlation_matrix,
     culture_from_csv,
     culture_from_json,
     culture_to_csv,
@@ -26,6 +27,8 @@ from condorcet import (
     enumerate_rank_orders,
     impartial_culture,
     is_dual_culture,
+    lambda_matrix,
+    limiting_probability,
     order_index,
     pair_signs,
     pairwise_win_probability,
@@ -196,6 +199,23 @@ class TestPreferenceSigns:
         assert orders.dtype == np.int8 and orders.shape == (40320, 8)
         assert signs.dtype == np.int8 and signs.shape == (40320, 28)
         assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize(
+        "evaluate", [lambda_matrix, lambda c: correlation_matrix(c, 0), limiting_probability],
+        ids=["lambda_matrix", "correlation_matrix", "limiting_probability"],
+    )
+    def test_limit_pass_peak_memory_at_m8(self, evaluate):
+        # The limit pass casts the table to float a block of orders at a time: one float64 copy
+        # of the whole m = 8 table would be 9 MB.
+        culture = impartial_culture(8)
+        pair_signs(8)
+        tracemalloc.start()
+        try:
+            evaluate(culture)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_no_package_path_builds_the_order_tuples(self, tmp_path):
         probe = (
