@@ -20,10 +20,10 @@ errors surface at the boundary instead of being averaged away.
 Cultures are saved as JSON or as CSV, one ``order,prob`` row per order keyed
 by its candidates joined by hyphens (``0-2-1``). The CSV reader takes one of
 two routes. The writer's own text (its header, one comma and one line end a
-row, its keys in canonical sequence) is split once with ``str.split`` and its
-values parsed with one ``float`` list. Any other text, or writer text with a
-bad value, goes through one ``csv.reader`` row walk that builds the culture
-and raises at the first bad line.
+row, its keys in canonical sequence) is split in chunks of whole rows, checked
+against one cached key text and parsed by ``float``. Any other text, or writer
+text with a bad value or a row longer than a chunk, streams through one
+``csv.reader`` row walk that builds the culture and raises at the first bad line.
 """
 
 from __future__ import annotations
@@ -140,19 +140,19 @@ def enumerate_rank_orders(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _order_keys(m: int) -> tuple[str, ...]:
-    """The CSV key of each order, the candidates joined by hyphens, in canonical sequence."""
-    # One ASCII row per order, digits at the even bytes: "0-1-...-7," split at the commas.
+def _key_text(m: int) -> str:
+    """Each order's CSV key (its candidates joined by hyphens) and a comma, in canonical sequence, as one str."""
+    # One ASCII row per order, digits at the even bytes: "0-1-...-7,".
     rows = np.full((math.factorial(m), 2 * m), ord("-"), np.uint8)
     np.add(_order_array(m), ord("0"), out=rows[:, 0::2], casting="unsafe")
     rows[:, -1] = ord(",")
-    return tuple(rows.tobytes().decode("ascii").split(",")[:-1])
+    return str(rows.data, "ascii")
 
 
 @lru_cache(maxsize=None)
 def _order_key_map(m: int) -> dict[str, int]:
     """Index of each order by its CSV key."""
-    return {key: i for i, key in enumerate(_order_keys(m))}
+    return {key: i for i, key in enumerate(_key_text(m).split(",")[:-1])}
 
 
 def order_index(order) -> int:
@@ -314,13 +314,13 @@ def culture_from_json(text: str) -> Culture:
 
 
 def culture_to_csv(culture: Culture) -> str:
-    return "order,prob\n" + "".join(
-        [f"{key},{p:.17g}\n" for key, p in zip(_order_keys(culture.m), culture.probs.tolist())]
-    )
+    keys = _key_text(culture.m).split(",")  # one more than the orders: the text ends in a comma
+    return "order,prob\n" + "".join([f"{key},{p:.17g}\n" for key, p in zip(keys, culture.probs.tolist())])
 
 
 _CSV_HEADER = ["order", "prob"]
 _NOT_A_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+_CSV_CHUNK = 2**17  # characters of writer text split at a time
 _M_OF_ROW_COUNT = {math.factorial(m): m for m in range(MIN_CANDIDATES, MAX_CANDIDATES + 1)}
 
 
@@ -334,25 +334,32 @@ def culture_from_csv(text: str) -> Culture:
     row's key sets m. Every row is checked; the first bad one is named by its
     line number.
     """
-    # The writer's own text: its header, one comma and one LF or CRLF a row, its keys in its order.
-    body = text.replace("\r\n", "\n") if "\r" in text else text
-    body = body[len("order,prob\n") :] if body.startswith("order,prob\n") and "\r" not in body else ""
-    m = _M_OF_ROW_COUNT.get(body.count("\n"))
-    if m and body[-1] == "\n":
-        separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_A_SEPARATOR)
-        fields = body.replace("\n", ",").split(",")
-        if separators == b",\n" * math.factorial(m) and tuple(fields[0:-1:2]) == _order_keys(m):
-            values, limit = fields[1::2], csv.field_size_limit()
-            # csv.reader refuses a field over its limit. The keys and separators take 2m + 1
-            # characters a row, so the rest bounds every value, and most files need no field measured.
-            if len(body) - len(values) * (2 * m + 1) > limit and max(map(len, values)) > limit:
-                return _culture_from_rows(text)
-            try:
-                probs = np.array([float(value) for value in values])
-            except ValueError:  # float() keeps some whitespace that strip() drops, such as "\x1c"
-                return _culture_from_rows(text)
-            if probs.min() >= 0.0 and probs.max() < math.inf:  # NaN fails both
-                return Culture(m, probs)
+    # The writer's own text: its header, then rows of one key, one comma, one value and one LF or
+    # CRLF, the keys in canonical sequence. It is read a chunk of whole rows at a time.
+    m, start = _M_OF_ROW_COUNT.get(text.count("\n") - 1), text.find("\n") + 1
+    if m is None or text[:start] not in ("order,prob\n", "order,prob\r\n"):
+        return _culture_from_rows(text)
+    keys, width, row = _key_text(m), 2 * m, 0
+    probs = np.empty(math.factorial(m))
+    # csv.reader refuses a field over its limit, and no such field fits in a chunk of whole rows.
+    size = min(_CSV_CHUNK, csv.field_size_limit())
+    while start < len(text):
+        end = text.rfind("\n", start, start + size) + 1
+        chunk = text[start:end].replace("\r\n", "\n")  # empty when no row ends within size characters
+        rows = chunk.count("\n")
+        separators = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_A_SEPARATOR)
+        if not rows or "\r" in chunk or separators != b",\n" * rows:
+            return _culture_from_rows(text)
+        fields = chunk.replace("\n", ",").split(",")
+        if ",".join(fields[0:-1:2]) != keys[row * width : (row + rows) * width - 1]:
+            return _culture_from_rows(text)
+        try:
+            probs[row : row + rows] = np.array(fields[1::2], dtype=float)  # calls float() on each str
+        except ValueError:  # float() keeps some whitespace that strip() drops, such as "\x1c"
+            return _culture_from_rows(text)
+        row, start = row + rows, end
+    if probs.min() >= 0.0 and probs.max() < math.inf:  # NaN fails both
+        return Culture(m, probs)
     return _culture_from_rows(text)
 
 
@@ -371,18 +378,27 @@ def _key_index(key: str, m: int | None) -> int:
 
 
 def _culture_from_rows(text: str) -> Culture:
-    """The culture of ``csv.reader``'s rows, checked row by row; the first bad line raises CultureFormatError."""
+    """The culture of ``csv.reader``'s rows, checked as they stream; the first bad line raises CultureFormatError."""
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        try:
+            return _culture_of_rows(reader)
+        except CultureFormatError:
+            for _ in reader:  # a csv.Error anywhere in the text wins over a bad row
+                pass
+            raise
     except csv.Error as exc:  # a lone CR inside a line, an overlong field
         raise CultureFormatError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
-    if not rows or [f.strip() for f in rows[0]] != _CSV_HEADER:
+
+
+def _culture_of_rows(rows) -> Culture:
+    """The culture of an iterator of CSV rows, header first; a bad row is named by its count of rows, from 1."""
+    header = next(rows, None)
+    if header is None or [f.strip() for f in header] != _CSV_HEADER:
         raise CultureFormatError('expected CSV header "order,prob"')
     m = None
     index: dict[str, int] = {}
-    probs: dict[int, float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 2:
@@ -396,11 +412,11 @@ def _culture_from_rows(text: str) -> Culture:
                 raise CultureFormatError(f"line {lineno}, field 'order': {exc}") from None
             if m is None:  # _key_index checked that m is in range
                 m = key.count("-") + 1
-                index = _order_key_map(m)
-        if idx in probs:
+                index, probs, seen = _order_key_map(m), np.empty(math.factorial(m)), bytearray(math.factorial(m))
+        if seen[idx]:
             raise CultureFormatError(f"line {lineno}: duplicate order key {key!r}")
         try:
-            prob = probs[idx] = float(value)
+            prob = float(value)
         except ValueError:
             raise CultureFormatError(f"line {lineno}, field 'prob': cannot parse {value!r}") from None
         if not 0.0 <= prob < math.inf:
@@ -408,11 +424,12 @@ def _culture_from_rows(text: str) -> Culture:
                 raise CultureFormatError(f"line {lineno}, field 'prob': negative value {value}")
             kind = "NaN" if math.isnan(prob) else "infinite"
             raise CultureFormatError(f"line {lineno}, field 'prob': {kind} probability {prob!r}")
+        probs[idx], seen[idx] = prob, 1
     if m is None:
         raise CultureFormatError("no culture rows found")
-    if len(probs) != math.factorial(m):
-        raise CultureFormatError(f"expected {math.factorial(m)} rows for m={m}, got {len(probs)}")
-    return Culture(m, [probs[idx] for idx in range(len(probs))])
+    if seen.count(1) != len(seen):
+        raise CultureFormatError(f"expected {len(seen)} rows for m={m}, got {seen.count(1)}")
+    return Culture(m, probs)
 
 
 def save_culture(culture: Culture, path, fmt: str | None = None) -> None:

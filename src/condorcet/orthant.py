@@ -37,6 +37,8 @@ _BLAS_PRODUCTS = 1 << 18
 
 DEFAULT_MC_SAMPLES = 10_000_000
 EQUICORRELATION_TOL = 1e-12
+# A culture's common correlation of 1 is a sum of probabilities, a few ulps off 1; below, the integral holds.
+_CORRELATION_ONE = 1.0 - 4 * np.finfo(float).eps
 _INTEGRATION_HALF_WIDTH = 12.0  # exp(-144) tail, truncation error far below 1e-30
 _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -191,7 +193,8 @@ def closed_orthant(r: np.ndarray) -> tuple[float, None, str] | None:
     """(value, None, method) of R's orthant probability, None when only Monte Carlo serves.
 
     Closed forms up to d = 3; above, an equicorrelated R (within 1e-12) gives 1/2
-    at correlation 1 (one normal repeated) and the integral at 0 <= rho < 1.
+    at correlation 1 (one normal repeated), taken as rho >= 1 - 4 eps, and the
+    integral at 0 <= rho below that.
     """
     r = np.asarray(r, dtype=float)
     d = r.shape[0]
@@ -203,7 +206,7 @@ def closed_orthant(r: np.ndarray) -> tuple[float, None, str] | None:
         arcs = math.asin(float(r[0, 1])) + math.asin(float(r[0, 2])) + math.asin(float(r[1, 2]))
         return (1.0 + (2.0 / math.pi) * arcs) / 8.0, None, "closed-form"
     rho = _common_correlation(r)
-    if rho is not None and rho >= 1.0 - EQUICORRELATION_TOL:
+    if rho is not None and rho >= _CORRELATION_ONE:
         return 0.5, None, "closed-form"
     if rho is not None and rho >= 0.0:
         return equicorrelated_orthant(rho, d), None, "equicorrelated-integral"

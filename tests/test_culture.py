@@ -174,7 +174,7 @@ class TestPreferenceSigns:
         array = culture_module._order_array(m)
         assert array.dtype == np.int8 and not array.flags.writeable
         assert array.tolist() == [list(o) for o in orders]
-        assert culture_module._order_keys(m) == tuple("-".join(map(str, o)) for o in orders)
+        assert culture_module._key_text(m) == "".join("-".join(map(str, o)) + "," for o in orders)
         positions = np.argsort(np.array(orders), axis=1)
         first, second = np.array(list(itertools.combinations(range(m), 2))).T
         expected = np.where(positions[:, first] < positions[:, second], 1, -1)
@@ -508,10 +508,20 @@ _KEYS3 = ["-".join(map(str, o)) for o in itertools.permutations(range(3))]
 _ROWS3 = [f"{key},{p}" for key, p in zip(_KEYS3, ["0.5", "0.25", "0.125", "0.0625", "0.03125", "0.03125"])]
 _IC8 = culture_to_csv(impartial_culture(8))
 _ROWS8 = _IC8.splitlines()[1:]
+# The row that starts the writer route's second chunk of _IC8.
+_CHUNK2 = _IC8.count("\n", 0, _IC8.rfind("\n", 0, len("order,prob\n") + culture_module._CSV_CHUNK))
 
 
 def _replace(rows, at, row):
     return rows[:at] + [row] + rows[at + 1 :]
+
+
+def _value8(at, value):
+    """_IC8 with row ``at``'s value replaced."""
+    return _csv_text(_replace(_ROWS8, at, _ROWS8[at].split(",")[0] + "," + value))
+
+
+_ZEROS = "0" * (csv.field_size_limit() - len(_ROWS8[0].split(",")[1]))  # pads a value to the field limit
 
 
 LOADABLE = {
@@ -543,6 +553,8 @@ LOADABLE = {
     "writer-m2-value-at-field-limit": culture_to_csv(Culture(2, [0.25, 0.75])).replace(
         ",0.25\n", ",0.25" + "0" * (csv.field_size_limit() - 4) + "\n", 1
     ),
+    "writer-m8-crlf": _IC8.replace("\n", "\r\n"),
+    "writer-m8-value-at-field-limit": _value8(_CHUNK2, _ZEROS + _ROWS8[_CHUNK2].split(",")[1]),
 }
 
 REJECTED = {
@@ -583,6 +595,14 @@ REJECTED = {
     "m8-unfinished-extra-row": _IC8 + _ROWS8[0].split(",")[0],
     "writer-m2-overlong-value": culture_to_csv(impartial_culture(2)).replace(",0.5\n", ",0.5" + "0" * 140_000 + "\n", 1),
     "m8-three-then-one-field": _csv_text([f"{_ROWS8[0]},{_ROWS8[1].split(',')[0]}", _ROWS8[1].split(",")[1], *_ROWS8[2:]]),
+    "m8-bad-value-second-chunk": _value8(_CHUNK2, "x"),
+    "m8-negative-second-chunk": _value8(_CHUNK2, "-1e-9"),
+    "m8-nan-second-chunk": _value8(_CHUNK2, "nan"),
+    "m8-bad-value-last-row": _value8(-1, "x"),
+    "m8-nan-last-row": _value8(-1, "nan"),
+    "m8-value-over-one-chunk": _value8(_CHUNK2, "0" + _ZEROS + _ROWS8[_CHUNK2].split(",")[1]),
+    "bad-value-then-lone-cr": _csv_text(_replace(_replace(_ROWS3, 1, "0-2-1,abc"), 4, "2-0-1,\r0.03125")),
+    "m8-bad-value-then-lone-cr": _csv_text(_replace(_replace(_ROWS8, 0, _ROWS8[0] + "x"), -1, _ROWS8[-1].replace(",", ",\r"))),
 }
 
 
@@ -618,7 +638,9 @@ class TestCsvRoutes:
     NEAR_WRITER = [
         "writer-m8-trailing-blank-line", "writer-m8-one-quoted-field", "writer-m8-no-final-newline",
         "m8-three-then-one-field", "m8-unfinished-extra-row", "m8-negative-last-row", "m8-missing-row",
-        "writer-m2-overlong-value",
+        "writer-m2-overlong-value", "writer-m8-value-at-field-limit", "m8-bad-value-second-chunk",
+        "m8-negative-second-chunk", "m8-nan-second-chunk", "m8-bad-value-last-row", "m8-nan-last-row",
+        "m8-value-over-one-chunk",
     ]
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -637,6 +659,19 @@ class TestCsvRoutes:
         monkeypatch.setattr(culture_module, "_culture_from_rows", lambda t: walked.append(t) or walk(t))
         _outcome(culture_from_csv, text)
         assert walked == [text]
+
+    @pytest.mark.parametrize("text, bound", [(_IC8, 3), (LOADABLE["shuffled-m8"], 10)], ids=["writer", "shuffled"])
+    def test_csv_load_peak_memory_at_m8(self, text, bound):
+        # The writer's layout is split a chunk of rows at a time and any other layout streams
+        # through csv.reader, so neither holds a string per field of the 1.6 MB text at once.
+        culture_from_csv(text)  # the cached key text and key map are not part of a load
+        tracemalloc.start()
+        try:
+            culture_from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -613,25 +613,29 @@ class TestMinimumBound:
             assert gradient[support] == pytest.approx(target, rel=1e-12)
             assert np.delete(gradient, support).min() >= target * (1 - 1e-12)
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_frank_wolfe_search_never_goes_below_the_minimum(self, n):
-        # Frank-Wolfe over the m = 3 simplex from 6 Dirichlet(1) starts: step t moves
-        # toward the order with the smallest exact gradient entry (the composition sum
-        # above, over all 6 orders) by 2/(t + 3); 2/(t + 2) would land on one order at
-        # t = 0. The search need not converge; no iterate may beat the paper's minimum.
-        signs = pair_signs(3).astype(np.int64)
-        counts = np.array([np.diff((-1, *bars, n + 4)) - 1 for bars in itertools.combinations(range(n + 4), 5)])
-        weight = math.factorial(n - 1) / np.prod([[math.factorial(c) for c in row] for row in counts], axis=1)
+    # the m = 3 ids name n alone
+    @pytest.mark.parametrize("m, n", [(3, 3), (3, 5), (3, 7), (4, 3), (4, 5)], ids=["3", "5", "7", "m4-3", "m4-5"])
+    def test_frank_wolfe_search_never_goes_below_the_minimum(self, m, n):
+        # Frank-Wolfe over the m! simplex from 6 Dirichlet(1) starts: step t moves toward
+        # the order with the smallest exact gradient entry (the sum above, over the
+        # compositions of n - 1 voters on all orders) by 2/(t + 3); 2/(t + 2) would land
+        # on one order at t = 0. The search need not converge; no iterate may beat the
+        # paper's minimum.
+        k = math.factorial(m)
+        signs = pair_signs(m).astype(np.int64)
+        voters = np.array(list(itertools.combinations_with_replacement(range(k), n - 1)))
+        counts = (voters[:, :, None] == np.arange(k)).sum(axis=1)
+        weight = math.factorial(n - 1) / np.array([math.factorial(c) for c in range(n)])[counts].prod(axis=1)
         margins = (counts @ signs)[:, None, :] + signs  # (compositions, cast order, pair)
-        wins = winners_mask(margins.reshape(-1, 3), 3, WinnerMode.STRONG.margin_threshold).any(axis=0)
-        wins = wins.reshape(len(counts), 6)
-        bound = minimum_winner_probability(3, n) - 1e-12
-        for p in np.random.default_rng(13).dirichlet(np.ones(6), size=6):
+        wins = winners_mask(margins.reshape(-1, signs.shape[1]), m, WinnerMode.STRONG.margin_threshold).any(axis=0)
+        wins = wins.reshape(len(counts), k)
+        bound = minimum_winner_probability(m, n) - 1e-12
+        for p in np.random.default_rng(13).dirichlet(np.ones(k), size=6):
             for t in range(21):
-                assert exact_winner_probability(Culture(3, p), n).value >= bound
+                assert exact_winner_probability(Culture(m, p), n).value >= bound
                 if t < 20:
                     gradient = n * (weight * np.prod(p**counts, axis=1)) @ wins
-                    p = p + 2 / (t + 3) * (np.eye(6)[np.argmin(gradient)] - p)
+                    p = p + 2 / (t + 3) * (np.eye(k)[np.argmin(gradient)] - p)
 
     @pytest.mark.parametrize("m,n", [(6, 30), (7, 21)])
     def test_cyclic_minimum_beyond_63_bits_of_pair_tallies(self, m, n):

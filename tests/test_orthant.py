@@ -36,9 +36,9 @@ def closed_d3(r12: float, r13: float, r23: float) -> float:
     return (1 + (2 / math.pi) * (math.asin(r12) + math.asin(r13) + math.asin(r23))) / 8
 
 
-def mpmath_equicorrelated(rho: float, d: int) -> float:
-    """The orthant integral at 30 digits, in s = a t: pi^-1/2 / a * int exp(-(s/a)^2) Phi(-s)^d ds."""
-    with mpmath.workdps(30):
+def mpmath_equicorrelated(rho: float, d: int, digits: int = 30) -> float:
+    """The orthant integral at ``digits`` digits, in s = a t: pi^-1/2 / a * int exp(-(s/a)^2) Phi(-s)^d ds."""
+    with mpmath.workdps(digits):
         rho = mpmath.mpf(rho)
         a = mpmath.sqrt(2 * rho / (1 - rho))
         f = lambda s: mpmath.exp(-((s / a) ** 2)) * (mpmath.erfc(s / mpmath.sqrt(2)) / 2) ** d  # noqa: E731
@@ -114,6 +114,13 @@ class TestEquicorrelatedIntegral:
     @pytest.mark.parametrize("rho", [1 / 3, *NEAR_ONE])
     def test_matches_mpmath_integral(self, rho, d):
         assert abs(equicorrelated_orthant(rho, d) - mpmath_equicorrelated(rho, d)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [4, 7])
+    @pytest.mark.parametrize("rho", [1 - 1e-11, 1 - 1e-13, 1 - 1e-15])
+    def test_matches_mpmath_integral_next_to_one(self, rho, d):
+        # closed_orthant takes the integral up to a few ulps below 1. At 1 - 1e-15, a = sqrt(2 rho / (1 - rho))
+        # is 4.5e7 and the value is 1.3e-8 below 1/2 at d = 4; 2**-53 is two ulps there.
+        assert abs(equicorrelated_orthant(rho, d) - mpmath_equicorrelated(rho, d, digits=40)) <= 2**-53
 
     def test_independence_any_dimension(self):
         for d in (1, 2, 4, 6):
@@ -282,6 +289,11 @@ class TestDispatcher:
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_common_correlation_one_within_tolerance(self, d):
-        # above dimension 3 a common correlation within 1e-12 of 1 counts as 1
-        near_one = np.ones((d, d)) - 1e-13 * (1 - np.eye(d))
-        assert closed_orthant(near_one) == (0.5, None, "closed-form")
+        # above dimension 3 a common correlation within 4 machine epsilons of 1, as far as a
+        # culture's sums of probabilities stray from 1, counts as 1; further off the integral holds
+        eps, off = np.finfo(float).eps, 1 - np.eye(d)
+        assert closed_orthant(np.ones((d, d)) - 4 * eps * off) == (0.5, None, "closed-form")
+        for rho in (1 - 5 * eps, 1 - 1e-13):
+            assert closed_orthant(np.ones((d, d)) - (1 - rho) * off) == (
+                equicorrelated_orthant(rho, d), None, "equicorrelated-integral"
+            )
