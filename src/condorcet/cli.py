@@ -192,34 +192,20 @@ def _cmd_ic_curve(args) -> int:
 
 def _cmd_audit(args) -> int:
     results = audit_table1(samples=args.samples, seed=args.seed)
-    rows = [
-        {
-            "case": r.number,
-            "sign_01": r.signs[0],
-            "sign_02": r.signs[1],
-            "sign_12": r.signs[2],
-            "formula": r.formula_value,
-            "estimate": r.mc_value,
-            "stderr": r.mc_stderr,
-            "pass": int(r.passed),
-        }
+    obj = [
+        {"case": r.number, "signs": list(r.signs), "formula": r.formula_value,
+         "estimate": r.mc_value, "stderr": r.mc_stderr, "pass": r.passed}
         for r in results
+    ]
+    rows = [
+        {"case": o["case"], **dict(zip(("sign_01", "sign_02", "sign_12"), o["signs"])),
+         "formula": o["formula"], "estimate": o["estimate"], "stderr": o["stderr"], "pass": int(o["pass"])}
+        for o in obj
     ]
     lines = [
-        f"case {r.number:>2}  formula {r.formula_value:.5f}  "
-        f"mc {r.mc_value:.5f}  stderr {r.mc_stderr:.5f}  {'ok' if r.passed else 'MISMATCH'}"
-        for r in results
-    ]
-    obj = [
-        {
-            "case": r.number,
-            "signs": list(r.signs),
-            "formula": r.formula_value,
-            "estimate": r.mc_value,
-            "stderr": r.mc_stderr,
-            "pass": r.passed,
-        }
-        for r in results
+        f"case {o['case']:>2}  formula {o['formula']:.5f}  "
+        f"mc {o['estimate']:.5f}  stderr {o['stderr']:.5f}  {'ok' if o['pass'] else 'MISMATCH'}"
+        for o in obj
     ]
     _emit(args, rows, lines, obj)
     return 0 if all(r.passed for r in results) else 1

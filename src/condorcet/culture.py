@@ -363,73 +363,63 @@ def culture_from_csv(text: str) -> Culture:
     return _culture_from_rows(text)
 
 
-def _key_index(key: str, m: int | None) -> int:
-    """Canonical index of a stripped order key with m candidates (any count if m is None)."""
-    try:
-        order = tuple(int(part) for part in key.split("-"))
-    except ValueError:
-        raise CultureFormatError(f"cannot parse {key!r}") from None
-    if m is not None and len(order) != m:
-        raise CultureFormatError(f"expected {m} candidates, got {len(order)}")
-    try:
-        return order_index(order)
-    except ValueError as exc:
-        raise CultureFormatError(str(exc)) from None
-
-
 def _culture_from_rows(text: str) -> Culture:
-    """The culture of ``csv.reader``'s rows, checked as they stream; the first bad line raises CultureFormatError."""
-    reader = csv.reader(io.StringIO(text))
+    """The culture of ``csv.reader``'s rows, checked as they stream; the first bad row raises CultureFormatError.
+
+    A bad row is named by its count of rows, from 1. A csv.Error anywhere in the text wins over a bad row.
+    """
+    rows = csv.reader(io.StringIO(text))
     try:
         try:
-            return _culture_of_rows(reader)
+            header = next(rows, None)
+            if header is None or [f.strip() for f in header] != _CSV_HEADER:
+                raise CultureFormatError('expected CSV header "order,prob"')
+            m, index = None, {}
+            for lineno, row in enumerate(rows, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise CultureFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+                key, value = row[0].strip(), row[1].strip()
+                idx = index.get(key)
+                if idx is None:  # the first row, or a key the writer would not emit
+                    where = f"line {lineno}, field 'order'"
+                    try:
+                        order = tuple(int(part) for part in key.split("-"))
+                    except ValueError:
+                        raise CultureFormatError(f"{where}: cannot parse {key!r}") from None
+                    if m is not None and len(order) != m:
+                        raise CultureFormatError(f"{where}: expected {m} candidates, got {len(order)}")
+                    try:
+                        idx = order_index(order)
+                    except ValueError as exc:
+                        raise CultureFormatError(f"{where}: {exc}") from None
+                    if m is None:  # order_index checked that m is in range
+                        m = len(order)
+                        index, probs, seen = _order_key_map(m), np.empty(math.factorial(m)), bytearray(math.factorial(m))
+                if seen[idx]:
+                    raise CultureFormatError(f"line {lineno}: duplicate order key {key!r}")
+                try:
+                    prob = float(value)
+                except ValueError:
+                    raise CultureFormatError(f"line {lineno}, field 'prob': cannot parse {value!r}") from None
+                if not 0.0 <= prob < math.inf:
+                    if prob < 0.0:
+                        raise CultureFormatError(f"line {lineno}, field 'prob': negative value {value}")
+                    kind = "NaN" if math.isnan(prob) else "infinite"
+                    raise CultureFormatError(f"line {lineno}, field 'prob': {kind} probability {prob!r}")
+                probs[idx], seen[idx] = prob, 1
+            if m is None:
+                raise CultureFormatError("no culture rows found")
+            if seen.count(1) != len(seen):
+                raise CultureFormatError(f"expected {len(seen)} rows for m={m}, got {seen.count(1)}")
+            return Culture(m, probs)
         except CultureFormatError:
-            for _ in reader:  # a csv.Error anywhere in the text wins over a bad row
+            for _ in rows:  # a later csv.Error is the answer
                 pass
             raise
     except csv.Error as exc:  # a lone CR inside a line, an overlong field
-        raise CultureFormatError(f"line {reader.line_num}: {str(exc).split(' - ')[0]}") from None
-
-
-def _culture_of_rows(rows) -> Culture:
-    """The culture of an iterator of CSV rows, header first; a bad row is named by its count of rows, from 1."""
-    header = next(rows, None)
-    if header is None or [f.strip() for f in header] != _CSV_HEADER:
-        raise CultureFormatError('expected CSV header "order,prob"')
-    m = None
-    index: dict[str, int] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise CultureFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        key, value = row[0].strip(), row[1].strip()
-        idx = index.get(key)
-        if idx is None:  # the first row, or a key the writer would not emit
-            try:
-                idx = _key_index(key, m)
-            except CultureFormatError as exc:
-                raise CultureFormatError(f"line {lineno}, field 'order': {exc}") from None
-            if m is None:  # _key_index checked that m is in range
-                m = key.count("-") + 1
-                index, probs, seen = _order_key_map(m), np.empty(math.factorial(m)), bytearray(math.factorial(m))
-        if seen[idx]:
-            raise CultureFormatError(f"line {lineno}: duplicate order key {key!r}")
-        try:
-            prob = float(value)
-        except ValueError:
-            raise CultureFormatError(f"line {lineno}, field 'prob': cannot parse {value!r}") from None
-        if not 0.0 <= prob < math.inf:
-            if prob < 0.0:
-                raise CultureFormatError(f"line {lineno}, field 'prob': negative value {value}")
-            kind = "NaN" if math.isnan(prob) else "infinite"
-            raise CultureFormatError(f"line {lineno}, field 'prob': {kind} probability {prob!r}")
-        probs[idx], seen[idx] = prob, 1
-    if m is None:
-        raise CultureFormatError("no culture rows found")
-    if seen.count(1) != len(seen):
-        raise CultureFormatError(f"expected {len(seen)} rows for m={m}, got {seen.count(1)}")
-    return Culture(m, probs)
+        raise CultureFormatError(f"line {rows.line_num}: {str(exc).split(' - ')[0]}") from None
 
 
 def save_culture(culture: Culture, path, fmt: str | None = None) -> None:
@@ -445,10 +435,15 @@ def save_culture(culture: Culture, path, fmt: str | None = None) -> None:
 
 
 def load_culture_file(path) -> Culture:
-    """Read a culture from a JSON or CSV file (by suffix) written by :func:`save_culture`."""
+    """Read a culture from a JSON or CSV file (by suffix) written by :func:`save_culture`.
+
+    The text reaches :func:`culture_from_csv` or :func:`culture_from_json` as it is on disk, line ends
+    included, so a file loads exactly when its text does: a CSV file with lone-CR line ends is refused.
+    """
     path = Path(path)
     try:
-        text = path.read_text()
+        with open(path, newline="") as handle:  # Path.read_text takes newline= only from Python 3.13
+            text = handle.read()
     except OSError as exc:
         raise CultureFormatError(f"cannot read {path}: {exc}") from None
     parse = culture_from_csv if path.suffix.lower() == ".csv" else culture_from_json

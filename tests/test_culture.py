@@ -29,6 +29,7 @@ from condorcet import (
     is_dual_culture,
     lambda_matrix,
     limiting_probability,
+    load_culture_file,
     order_index,
     pair_signs,
     pairwise_win_probability,
@@ -627,6 +628,20 @@ class TestCsvReaderAgainstRowLoop:
         expected = _outcome(reference_culture_from_csv, text)
         assert isinstance(expected[0], type)
         assert _outcome(culture_from_csv, text) == expected
+
+
+class TestCsvFileAgainstText:
+    @pytest.mark.parametrize("text", [*LOADABLE.values(), *REJECTED.values()], ids=[*LOADABLE, *REJECTED])
+    def test_a_file_loads_as_its_text(self, text, tmp_path):
+        path = tmp_path / "culture.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(culture_from_csv, text)
+        got = _outcome(load_culture_file, path)
+        if isinstance(expected[0], type):
+            assert got == (expected[0], f"{path}: {expected[1]}")
+        else:
+            assert got[0] == expected[0]
+            assert np.array_equal(got[1], expected[1])
 
 
 def _refuse(text):

@@ -613,6 +613,16 @@ class TestMinimumBound:
             assert gradient[support] == pytest.approx(target, rel=1e-12)
             assert np.delete(gradient, support).min() >= target * (1 - 1e-12)
 
+    def test_cyclic_culture_weak_mode_values_at_even_n(self):
+        # Weak mode at even n has no formula in the package; the m = 3 search found these
+        # values at the cyclic culture, pinned here in exact rationals.
+        cyc = cyclic_minimizer_culture(3)
+        weights = (cyc.probs > 0).astype(int).tolist()
+        for n, expected in [(2, Fraction(1)), (4, Fraction(1)), (6, Fraction(71, 81)), (8, Fraction(1627, 2187))]:
+            assert fraction_oracle(3, weights, n, WinnerMode.WEAK)[0] == expected
+            value = exact_winner_probability(cyc, n, WinnerMode.WEAK).value
+            assert value == pytest.approx(float(expected), rel=0, abs=1e-14)
+
     # the m = 3 ids name n alone
     @pytest.mark.parametrize("m, n", [(3, 3), (3, 5), (3, 7), (4, 3), (4, 5)], ids=["3", "5", "7", "m4-3", "m4-5"])
     def test_frank_wolfe_search_never_goes_below_the_minimum(self, m, n):
