@@ -434,18 +434,29 @@ def save_culture(culture: Culture, path, fmt: str | None = None) -> None:
         raise ValueError(f"unknown culture format {fmt!r}")
 
 
+def _file_text(path: Path) -> str:
+    """The UTF-8 text of ``path``; its bytes are freed before the text is parsed."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CultureFormatError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CultureFormatError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
 def load_culture_file(path) -> Culture:
     """Read a culture from a JSON or CSV file (by suffix) written by :func:`save_culture`.
 
-    The text reaches :func:`culture_from_csv` or :func:`culture_from_json` as it is on disk, line ends
-    included, so a file loads exactly when its text does: a CSV file with lone-CR line ends is refused.
+    The file is decoded as UTF-8, whatever the locale, and its text reaches :func:`culture_from_csv` or
+    :func:`culture_from_json` as it is on disk, line ends included, so a file loads exactly when its
+    text does: a CSV file with lone-CR line ends is refused. A byte that is not UTF-8 raises
+    :class:`CultureFormatError` naming its line.
     """
     path = Path(path)
-    try:
-        with open(path, newline="") as handle:  # Path.read_text takes newline= only from Python 3.13
-            text = handle.read()
-    except OSError as exc:
-        raise CultureFormatError(f"cannot read {path}: {exc}") from None
+    text = _file_text(path)
     parse = culture_from_csv if path.suffix.lower() == ".csv" else culture_from_json
     try:
         return parse(text)

@@ -432,6 +432,23 @@ class TestSerialization:
         with pytest.raises(CultureFormatError, match=f"^{re.escape(message)}$"):
             culture_from_csv(text)
 
+    @pytest.mark.parametrize(
+        "name, data, byte",
+        [("bad.csv", b"order,prob\n0-1,0.5\n1-0,0.\xff5\n", "0xff"),
+         ("bad.json", b'{"m": 2,\n "probs": [0.5, 0.5],\n "note": "caf\xe9"}\n', "0xe9")],
+        ids=["csv", "json-latin-1"],
+    )
+    def test_a_byte_that_is_not_utf8_is_a_format_error(self, name, data, byte, tmp_path):
+        # Files are decoded as UTF-8 whatever the locale. A caller that catches CultureFormatError
+        # sees the file and the line of the byte, not a bare UnicodeDecodeError.
+        path = tmp_path / name
+        path.write_bytes(data)
+        try:
+            load_culture_file(path)
+        except CultureFormatError as exc:
+            message = str(exc)
+        assert message == f"{path}: line 3: byte {byte} is not UTF-8"
+
     def test_save_rejects_an_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown culture format 'xml'"):
             save_culture(impartial_culture(2), tmp_path / "c.xml", fmt="xml")

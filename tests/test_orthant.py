@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -217,7 +221,7 @@ class TestOrthantMc:
         # the sampler's streams are part of every seeded result; they must not move
         r = np.full((4, 4), -0.2) + 1.2 * np.eye(4)
         estimate = orthants_mc(r, positive_orthant(4), 30_001, (5, 2))[0]
-        assert estimate == (0.019732675577480752, 0.0008029664238924055)
+        assert estimate == (0.019066031132295592, 0.0007895546042481766)
 
     @pytest.mark.parametrize("seed", [None, True, 1.5, (1, True), (), [5, 2]])
     def test_seed_is_an_int_or_a_tuple_of_ints(self, seed):
@@ -278,6 +282,80 @@ class TestOrthantMc:
             calls.clear()
             evaluate()
             assert len(calls) == 1
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: ``random`` returns the given float32 uniforms, shape (2, n)."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=np.float32)
+
+    def random(self, shape, dtype):
+        assert dtype is np.float32 and shape == self.uniforms.shape
+        return self.uniforms.copy()
+
+
+class TestNormalRows:
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return orthant._normal_rows(np.random.default_rng(23), 250_000, 4).ravel()
+
+    def test_mean_and_variance(self, draws):
+        # 1e6 standard normals: the mean's sd is 1e-3, the variance's sqrt(2e-6) = 1.4e-3.
+        assert draws.dtype == np.float64 and draws.size == 1_000_000
+        assert abs(draws.mean()) < 5e-3
+        assert abs(draws.var() - 1.0) < 7e-3
+
+    def test_kolmogorov_distance_to_phi(self, draws):
+        # sup |F_n - Phi| over the sample; 1.95 / sqrt(n) is the 0.1% critical value.
+        x = np.sort(draws)
+        phi = 0.5 * (1.0 + np.array([math.erf(v) for v in (x / math.sqrt(2.0)).tolist()]))
+        n = x.size
+        distance = max(np.max(np.arange(1, n + 1) / n - phi), np.max(phi - np.arange(n) / n))
+        assert distance < 1.95 / math.sqrt(n)
+
+    def test_extreme_uniforms_give_finite_values(self):
+        # u = 0 would give log(0) without the 1 - u; u = 1 - 2**-24 gives the largest radius,
+        # sqrt(-2 log 2**-24) = sqrt(48 ln 2), which caps every value.
+        top = 1.0 - 2.0**-24
+        uniforms = [[0.0, 0.0, top, top], [0.0, top, 0.0, top]]
+        z = orthant._normal_rows(_FixedUniforms(uniforms), 2, 4)
+        assert z.shape == (2, 4) and np.isfinite(z).all()
+        assert np.abs(z).max() <= math.sqrt(48 * math.log(2.0)) * (1 + 1e-6)
+        assert np.abs(z).max() > 5.76
+
+    def test_rows_read_cosines_then_sines(self):
+        # The block is r cos(theta) for every pair, then r sin(theta), cut to rows * d values.
+        uniforms = [[0.5, 0.75, 0.25], [0.0, 0.25, 0.5]]
+        r = np.sqrt(-2.0 * np.log(np.float32(1.0) - np.float32(uniforms[0]), dtype=np.float32))
+        theta = np.float32(2.0 * math.pi) * np.float32(uniforms[1])
+        expected = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:5].reshape(5, 1)
+        assert np.array_equal(orthant._normal_rows(_FixedUniforms(uniforms), 5, 1), expected)
+
+    def test_same_bits_without_avx512(self):
+        # The float32 log, sqrt, sin and cos loops must give the same bits with numpy's AVX-512
+        # targets on and off, or a seeded result would depend on whether the host has AVX-512.
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        wide = [name for name in umath.__cpu_dispatch__
+                if (name == "X86_V4" or name.startswith("AVX512")) and umath.__cpu_features__.get(name)]
+        if not wide:
+            pytest.skip("numpy dispatches to no AVX-512 target on this host")
+        # A value one ulp off seldom flips a sign test, so the probe also prints a hash of raw rows.
+        probe = (
+            "import hashlib, numpy as np; from condorcet.orthant import _normal_rows, orthants_mc\n"
+            "r = np.fromfunction(lambda i, j: (-0.4) ** abs(i - j), (6, 6))\n"
+            "print(orthants_mc(r, [[(k, 1) for k in range(6)], [(0, 1), (2, -1), (5, 1)]], 3_000_001, 17))\n"
+            "print(hashlib.sha256(_normal_rows(np.random.default_rng(17), 500_000, 6).tobytes()).hexdigest())"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(orthant.__file__).parents[1])}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        runs = [subprocess.run([sys.executable, "-c", probe], env=e, capture_output=True, text=True, check=True)
+                for e in (env, {**env, "NPY_DISABLE_CPU_FEATURES": ",".join(wide)})]
+        assert runs[0].stdout == runs[1].stdout
+        assert "Warning" not in runs[1].stderr
 
 
 class TestDispatcher:
