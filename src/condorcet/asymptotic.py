@@ -48,8 +48,6 @@ __all__ = [
     "Table1AuditRow",
     "Table1Row",
     "audit_table1",
-    "case7_culture",
-    "case17_culture",
     "classify_m3",
     "correlation_matrix",
     "ic_curve",
@@ -314,24 +312,6 @@ def sign_pattern_culture(signs: tuple[int, int, int]) -> Culture:
     coeffs = pair_signs(3).T.astype(float)  # margins of pairs (0,1), (0,2), (1,2) per order
     gram = coeffs @ coeffs.T
     return Culture(3, np.full(6, 1.0 / 6.0) + coeffs.T @ np.linalg.solve(gram, target))
-
-
-def case7_culture() -> Culture:
-    """Worked example reaching table row 7 (limit exactly 1).
-
-    Candidates 0 and 1 each beat candidate 2 in expectation while their own
-    pairing is balanced, so one of them always wins in the limit.
-    """
-    return Culture(3, np.array([1 / 6, 1 / 6, 2 / 5, 0.0, 1 / 6, 1 / 10]))
-
-
-def case17_culture() -> Culture:
-    """Worked example reaching table row 17 (limit exactly 0).
-
-    The expected margins form a cycle (0 beats 1, 1 beats 2, 2 beats 0), so
-    every candidate surely loses some pairing in the limit.
-    """
-    return Culture(3, np.array([3 / 22, 3 / 22, 9 / 44, 5 / 22, 13 / 44, 0.0]))
 
 
 @dataclass(frozen=True)

@@ -49,13 +49,11 @@ __all__ = [
     "culture_to_csv",
     "culture_to_json",
     "cyclic_minimizer_culture",
-    "enumerate_rank_orders",
     "impartial_culture",
     "is_dual_culture",
     "load_culture_file",
     "order_index",
     "pair_signs",
-    "pairwise_win_probability",
     "save_culture",
 ]
 
@@ -130,15 +128,6 @@ def _lehmer_index(orders) -> np.ndarray:
     return np.einsum("...ij,ij->...", orders[..., :, None] > orders[..., None, :], worth)
 
 
-@lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would find the entry of np.int64(3)
-def enumerate_rank_orders(m: int) -> tuple[tuple[int, ...], ...]:
-    """All m! rank orders of m candidates as tuples, in canonical (lexicographic) sequence.
-
-    A cached view of the order array for callers; no computation in this package reads it.
-    """
-    return tuple(map(tuple, _order_array(candidate_count_argument(m)).tolist()))
-
-
 @lru_cache(maxsize=None)
 def _key_text(m: int) -> str:
     """Each order's CSV key (its candidates joined by hyphens) and a comma, in canonical sequence, as one str."""
@@ -156,7 +145,7 @@ def _order_key_map(m: int) -> dict[str, int]:
 
 
 def order_index(order) -> int:
-    """Canonical index of a rank order within ``enumerate_rank_orders``: its Lehmer code."""
+    """Canonical index of a rank order: its Lehmer code, its place in lexicographic sequence."""
     return int(_lehmer_index(_validate_order(order)))
 
 
@@ -266,17 +255,6 @@ def is_dual_culture(culture: Culture) -> bool:
     """True when every rank order and its reversal carry equal probability."""
     dual = _dual_permutation(culture.m)
     return bool(np.all(np.abs(culture.probs - culture.probs[dual]) <= DUAL_TOL))
-
-
-def pairwise_win_probability(culture: Culture, i: int, j: int) -> float:
-    """Probability that a single voter ranks candidate i above candidate j."""
-    rule = f"in [0, {culture.m - 1}]"
-    i = integer_argument(i, "candidate i", 0, culture.m, rule)
-    j = integer_argument(j, "candidate j", 0, culture.m, rule)
-    if i == j:
-        raise ValueError("candidates must be distinct")
-    columns, sides = pair_index(culture.m)
-    return float(culture.probs[pair_signs(culture.m)[:, columns[i, j]] == sides[i, j]].sum())
 
 
 # ---------------------------------------------------------------------------

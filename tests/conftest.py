@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,12 @@ from condorcet.culture import _dual_permutation
 
 def random_culture(rng: np.random.Generator, m: int = 3) -> Culture:
     return Culture(m, rng.dirichlet(np.ones(math.factorial(m))))
+
+
+def win_probability(culture: Culture, i: int, j: int) -> float:
+    """p_ij: the summed probability of the orders, in itertools' sequence, that rank i above j."""
+    orders = itertools.permutations(range(culture.m))
+    return math.fsum(p for o, p in zip(orders, culture.probs) if o.index(i) < o.index(j))
 
 
 def random_dual_culture(rng: np.random.Generator, m: int = 3) -> Culture:

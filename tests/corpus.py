@@ -33,8 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from condorcet import TABLE1, case7_culture, case17_culture, order_index, pair_signs, sign_pattern_culture
+from condorcet import TABLE1, order_index, pair_signs, sign_pattern_culture
 from condorcet import cli
+from examples import CASE7, CASE17
 
 CORPUS = Path(__file__).with_name("corpus.json")
 MAX_ULPS = 4
@@ -108,8 +109,8 @@ def write_cultures(folder: Path) -> None:
     (folder / "rand4.json").write_text(json.dumps({"m": 4, "probs": _random_probs(4, 7, dual=False)}))
     for row in TABLE1:
         _write(folder / f"sign{row.number}.csv", 3, sign_pattern_culture(row.signs).probs.tolist())
-    _write(folder / "case7.csv", 3, case7_culture().probs.tolist())
-    _write(folder / "case17.csv", 3, case17_culture().probs.tolist())
+    _write(folder / "case7.csv", 3, CASE7.probs.tolist())
+    _write(folder / "case17.csv", 3, CASE17.probs.tolist())
     (folder / "negative.csv").write_text("order,prob\n0-1,-0.5\n1-0,1.5\n")
     _write(folder / "one3.csv", 3, [1.0, 0, 0, 0, 0, 0])
     (folder / "short.csv").write_text("order,prob\n0-1-2,0.5\n0-2-1,0.5\n")

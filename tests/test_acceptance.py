@@ -13,8 +13,6 @@ import numpy as np
 from condorcet import (
     Culture,
     audit_table1,
-    case7_culture,
-    case17_culture,
     classify_m3,
     correlation_matrix,
     cyclic_minimizer_culture,
@@ -27,10 +25,10 @@ from condorcet import (
     mc_convergence_sweep,
     minimum_table,
     minimum_winner_probability,
-    pairwise_win_probability,
     tie_probability,
 )
-from conftest import random_culture
+from conftest import random_culture, win_probability
+from examples import CASE7, CASE17
 
 # Reference minimum winner probabilities, printed to four decimals.
 REFERENCE_MINIMUMS = {
@@ -142,11 +140,11 @@ def test_criterion_5_table1_audit():
     start = time.perf_counter()
     rows = audit_table1(samples=10_000_000, seed=1)
     failures = [r.number for r in rows if not r.passed]
-    case7 = limiting_probability(case7_culture())
-    case17 = limiting_probability(case17_culture())
+    case7 = limiting_probability(CASE7)
+    case17 = limiting_probability(CASE17)
     exact_examples = (
-        classify_m3(case7_culture()) == (7, 1.0)
-        and classify_m3(case17_culture()) == (17, 0.0)
+        classify_m3(CASE7) == (7, 1.0)
+        and classify_m3(CASE17) == (17, 0.0)
         and case7.value == 1.0
         and case17.value == 0.0
     )
@@ -212,7 +210,7 @@ def test_criterion_8_property_suites():
         if not np.allclose(lam, -lam.T, atol=1e-15):
             lam_antisymmetric = False
         for i, j in itertools.permutations(range(3), 2):
-            expected = 2.0 * pairwise_win_probability(culture, i, j) - 1.0
+            expected = 2.0 * win_probability(culture, i, j) - 1.0
             if abs(lam[i, j] - expected) > 1e-12:
                 lam_identity = False
         i = int(rng.integers(3))

@@ -12,8 +12,6 @@ from condorcet import (
     DegenerateVarianceError,
     Method,
     audit_table1,
-    case7_culture,
-    case17_culture,
     classify_m3,
     correlation_matrix,
     cyclic_minimizer_culture,
@@ -28,13 +26,13 @@ from condorcet import (
     order_index,
     orthants_mc,
     pair_signs,
-    pairwise_win_probability,
     sign_pattern_culture,
 )
 from condorcet.asymptotic import DELTA_SIGN_TOL, _decomposition, _moments
 from condorcet.core import DEFAULT_SEED
 from condorcet.orthant import closed_orthant
-from conftest import bacon_recursion, positive_orthant, random_culture, random_dual_culture
+from conftest import bacon_recursion, positive_orthant, random_culture, random_dual_culture, win_probability
+from examples import CASE7, CASE17
 
 NEG = -math.inf
 POS = math.inf
@@ -69,7 +67,7 @@ class TestLambdaMatrix:
             c = random_culture(rng, m)
             lam = lambda_matrix(c)
             for i, j in itertools.permutations(range(m), 2):
-                expected = 2.0 * pairwise_win_probability(c, i, j) - 1.0
+                expected = 2.0 * win_probability(c, i, j) - 1.0
                 assert lam[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -210,12 +208,12 @@ class TestLimitingProbability:
         assert r.detail["case"] == 1
 
     def test_case7_is_exactly_one(self):
-        r = limiting_probability(case7_culture())
+        r = limiting_probability(CASE7)
         assert r.value == 1.0
         assert r.detail["case"] == 7
 
     def test_case17_is_exactly_zero(self):
-        r = limiting_probability(case17_culture())
+        r = limiting_probability(CASE17)
         assert r.value == 0.0
         assert r.detail["case"] == 17
 
@@ -347,8 +345,8 @@ class TestClassifyM3:
         assert value == pytest.approx(3 * (0.25 + math.asin(1 / 3) / (2 * math.pi)), abs=1e-12)
 
     def test_worked_examples(self):
-        assert classify_m3(case7_culture()) == (7, 1.0)
-        assert classify_m3(case17_culture()) == (17, 0.0)
+        assert classify_m3(CASE7) == (7, 1.0)
+        assert classify_m3(CASE17) == (17, 0.0)
 
     def test_cyclic_is_the_zero_cycle_case(self):
         assert classify_m3(cyclic_minimizer_culture(3)) == (17, 0.0)

@@ -13,7 +13,6 @@ from condorcet import (
     correlation_matrix,
     culture_from_json,
     cyclic_minimizer_culture,
-    enumerate_rank_orders,
     equicorrelated_orthant,
     exact_winner_probability,
     ic_limit_closed,
@@ -23,7 +22,6 @@ from condorcet import (
     mc_convergence_sweep,
     order_index,
     pair_signs,
-    pairwise_win_probability,
 )
 from condorcet.culture import seed_argument
 from condorcet.orthant import orthants_mc
@@ -77,7 +75,6 @@ IC3 = impartial_culture(3)
 # Entry point: (call with the integer argument, its name, a valid value, an int just out of range, the rule).
 INTEGER_ARGUMENTS = {
     "Culture": (lambda x: Culture(x, np.full(6, 1 / 6)), "candidate count", 3, 9, "in [2, 8]"),
-    "enumerate_rank_orders": (enumerate_rank_orders, "candidate count", 3, 1, "in [2, 8]"),
     "impartial_culture": (impartial_culture, "candidate count", 3, 9, "in [2, 8]"),
     "cyclic_minimizer_culture": (cyclic_minimizer_culture, "candidate count", 3, 1, "in [2, 8]"),
     "culture_from_json": (
@@ -87,8 +84,6 @@ INTEGER_ARGUMENTS = {
     "candidate_pairs": (candidate_pairs, "candidate count", 8, 9, "in [2, 8]"),
     "pair_signs": (pair_signs, "candidate count", 2, 1, "in [2, 8]"),
     "order_index": (lambda x: order_index((0, x, 2)), "candidate", 1, 3, "in [0, 2]"),
-    "pairwise_win_probability-i": (lambda x: pairwise_win_probability(IC3, x, 2), "candidate i", 0, 3, "in [0, 2]"),
-    "pairwise_win_probability-j": (lambda x: pairwise_win_probability(IC3, 0, x), "candidate j", 1, -1, "in [0, 2]"),
     "correlation_matrix": (lambda x: correlation_matrix(IC3, x), "candidate i", 2, 3, "in [0, 2]"),
     "ic_limit_closed": (ic_limit_closed, "candidate count", 7, 8, "in [3, 7]"),
     "ic_limit_sampford": (ic_limit_sampford, "candidate count", 2, 1, ">= 2"),

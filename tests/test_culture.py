@@ -2,12 +2,8 @@ import csv
 import io
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +20,6 @@ from condorcet import (
     culture_to_csv,
     culture_to_json,
     cyclic_minimizer_culture,
-    enumerate_rank_orders,
     impartial_culture,
     is_dual_culture,
     lambda_matrix,
@@ -32,12 +27,11 @@ from condorcet import (
     load_culture_file,
     order_index,
     pair_signs,
-    pairwise_win_probability,
     save_culture,
 )
 import condorcet.culture as culture_module
 from condorcet.culture import _dual_permutation, _order_key_map, pair_index
-from conftest import random_culture
+from conftest import random_culture, win_probability
 
 
 def dual_order(order) -> tuple[int, ...]:
@@ -56,28 +50,26 @@ def joint_preference_sign(order, i: int, j: int, l: int) -> int:
 
 
 class TestEnumeration:
+    """The canonical sequence of the orders is itertools' lexicographic one; ``order_index`` reads it."""
+
     def test_m2(self):
-        assert enumerate_rank_orders(2) == ((0, 1), (1, 0))
+        assert [order_index((0, 1)), order_index((1, 0))] == [0, 1]
 
     def test_m3(self):
-        orders = enumerate_rank_orders(3)
-        assert len(orders) == 6
-        assert orders[0] == (0, 1, 2)
-        assert orders[-1] == (2, 1, 0)
+        assert order_index((0, 1, 2)) == 0
+        assert order_index((2, 1, 0)) == 5
 
     def test_m4_lexicographic(self):
-        orders = enumerate_rank_orders(4)
-        assert len(orders) == 24
-        assert orders[0] == (0, 1, 2, 3)
-        assert list(orders) == sorted(orders)
+        orders = sorted(itertools.permutations(range(4)))
+        assert [order_index(o) for o in orders] == list(range(24))
 
     @pytest.mark.parametrize("m", [1, 0, 9, -2])
     def test_bounds(self, m):
         with pytest.raises(ValueError):
-            enumerate_rank_orders(m)
+            impartial_culture(m)
 
     def test_order_index_roundtrip(self):
-        for i, o in enumerate(enumerate_rank_orders(4)):
+        for i, o in enumerate(itertools.permutations(range(4))):
             assert order_index(o) == i
 
 
@@ -91,7 +83,7 @@ class TestNamedCultures:
     def test_cyclic_m3(self):
         c = cyclic_minimizer_culture(3)
         expected = {(0, 1, 2): 1 / 3, (1, 2, 0): 1 / 3, (2, 0, 1): 1 / 3}
-        for o, p in zip(enumerate_rank_orders(3), c.probs):
+        for o, p in zip(itertools.permutations(range(3)), c.probs):
             assert p == pytest.approx(expected.get(o, 0.0), abs=0)
 
     def test_cyclic_m2_is_uniform(self):
@@ -99,7 +91,8 @@ class TestNamedCultures:
 
     def test_cyclic_m4_rotations(self):
         c = cyclic_minimizer_culture(4)
-        support = [enumerate_rank_orders(4)[i] for i in c.support()]
+        orders = list(itertools.permutations(range(4)))
+        support = [orders[i] for i in c.support()]
         assert len(support) == 4
         base = (0, 1, 2, 3)
         for o in support:
@@ -114,7 +107,7 @@ class TestDuality:
         assert dual_order((0, 1)) == (1, 0)
 
     def test_involution_m4_exhaustive(self):
-        orders = enumerate_rank_orders(4)
+        orders = list(itertools.permutations(range(4)))
         for o, dual in zip(orders, _dual_permutation(4)):
             assert dual_order(dual_order(o)) == o
             assert orders[dual] == dual_order(o)
@@ -146,7 +139,7 @@ class TestPreferenceSigns:
         assert preference_sign((2, 0, 1), 0, 2) == -1
 
     def test_antisymmetry_exhaustive_m3(self):
-        for o in enumerate_rank_orders(3):
+        for o in itertools.permutations(range(3)):
             for i, j in itertools.permutations(range(3), 2):
                 assert preference_sign(o, i, j) == -preference_sign(o, j, i)
 
@@ -154,7 +147,7 @@ class TestPreferenceSigns:
     def test_half_the_orders_prefer_i(self, m):
         for i, j in itertools.permutations(range(m), 2):
             positives = sum(
-                preference_sign(o, i, j) == 1 for o in enumerate_rank_orders(m)
+                preference_sign(o, i, j) == 1 for o in itertools.permutations(range(m))
             )
             assert positives == math.factorial(m) // 2
 
@@ -165,7 +158,7 @@ class TestPreferenceSigns:
         assert table.dtype == np.int8 and table.shape == (math.factorial(m), m * (m - 1) // 2)
         assert table.flags.c_contiguous and not table.flags.writeable
         assert candidate_pairs(m) == tuple(itertools.combinations(range(m), 2))
-        for k, order in enumerate(enumerate_rank_orders(m)):
+        for k, order in enumerate(itertools.permutations(range(m))):
             for p, (i, j) in enumerate(candidate_pairs(m)):
                 assert table[k, p] == preference_sign(order, i, j)
 
@@ -218,22 +211,6 @@ class TestPreferenceSigns:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
-    def test_no_package_path_builds_the_order_tuples(self, tmp_path):
-        probe = (
-            "import numpy as np, condorcet as c; from condorcet.culture import _dual_permutation as d\n"
-            "c.cyclic_minimizer_culture(8); u = c.impartial_culture(8)\n"
-            "w = np.random.default_rng(0).random(40320); w += w[d(8)]; assert c.is_dual_culture(c.Culture(8, w / w.sum()))\n"
-            "assert c.order_index(range(7, -1, -1)) == 40319; c.pair_signs(8)\n"
-            f"p = {str(tmp_path / 'ic8.csv')!r}; c.save_culture(u, p)\n"
-            "assert (c.load_culture_file(p).probs == u.probs).all()\n"
-            "print(c.enumerate_rank_orders.cache_info().currsize)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(Path(culture_module.__file__).parents[1])},
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "0"
-
 
 class TestJointSign:
     def test_examples(self):
@@ -242,7 +219,7 @@ class TestJointSign:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_product_identity_exhaustive(self, m):
-        for o in enumerate_rank_orders(m):
+        for o in itertools.permutations(range(m)):
             for i, j, l in itertools.permutations(range(m), 3):
                 assert joint_preference_sign(o, i, j, l) == preference_sign(
                     o, i, j
@@ -250,39 +227,34 @@ class TestJointSign:
 
 
 class TestPairwiseWinProbability:
+    """p_ij = (1 + lambda_ij) / 2 from ``lambda_matrix``, against the orders that rank i above j."""
+
     def test_impartial_is_even(self):
-        c = impartial_culture(3)
+        lam = lambda_matrix(impartial_culture(3))
         for i, j in itertools.permutations(range(3), 2):
-            assert pairwise_win_probability(c, i, j) == pytest.approx(0.5, abs=1e-15)
+            assert (1.0 + lam[i, j]) / 2.0 == pytest.approx(0.5, abs=1e-15)
 
     def test_cyclic(self):
-        assert pairwise_win_probability(cyclic_minimizer_culture(3), 0, 1) == pytest.approx(
-            2 / 3, abs=1e-15
-        )
-
-    def test_same_candidate_refused(self):
-        with pytest.raises(ValueError, match="candidates must be distinct"):
-            pairwise_win_probability(impartial_culture(3), 1, 1)
+        c = cyclic_minimizer_culture(3)
+        assert win_probability(c, 0, 1) == pytest.approx(2 / 3, abs=1e-15)
+        assert (1.0 + lambda_matrix(c)[0, 1]) / 2.0 == pytest.approx(2 / 3, abs=1e-15)
 
     def test_degenerate(self):
         p = np.zeros(6)
         p[order_index((1, 2, 0))] = 1.0
-        c = Culture(3, p)
-        assert pairwise_win_probability(c, 1, 0) == 1.0
-        assert pairwise_win_probability(c, 0, 1) == 0.0
+        lam = lambda_matrix(Culture(3, p))
+        assert lam[1, 0] == 1.0 and lam[0, 1] == -1.0
 
     def test_complementary(self, rng):
         c = random_culture(rng)
         for i, j in itertools.combinations(range(3), 2):
-            total = pairwise_win_probability(c, i, j) + pairwise_win_probability(c, j, i)
-            assert total == pytest.approx(1.0, abs=1e-12)
+            assert win_probability(c, i, j) + win_probability(c, j, i) == pytest.approx(1.0, abs=1e-12)
 
     def test_m8_sums_the_orders_that_rank_i_above_j(self, rng):
         c = random_culture(rng, 8)
-        orders = enumerate_rank_orders(8)
+        lam = lambda_matrix(c)
         for i, j in [(0, 7), (7, 0), (3, 5), (6, 2)]:
-            above = np.array([preference_sign(o, i, j) == 1 for o in orders])
-            assert pairwise_win_probability(c, i, j) == float(c.probs[above].sum())
+            assert (1.0 + lam[i, j]) / 2.0 == pytest.approx(win_probability(c, i, j), abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 5, 8])
     def test_pair_index_maps(self, m):
@@ -712,6 +684,6 @@ def test_csv_writer_bytes_match_csv_module(m, rng):
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["order", "prob"])
-        for o, p in zip(enumerate_rank_orders(m), culture.probs):
+        for o, p in zip(itertools.permutations(range(m)), culture.probs):
             writer.writerow(["-".join(map(str, o)), format(p, ".17g")])
         assert culture_to_csv(culture).encode() == out.getvalue().encode()

@@ -16,9 +16,10 @@ from condorcet import (
     Method,
     WinnerMode,
     cyclic_minimizer_culture,
-    enumerate_rank_orders,
     exact_winner_probability,
+    ic_limit_sampford,
     impartial_culture,
+    limiting_probability,
     minimum_table,
     minimum_winner_probability,
     order_index,
@@ -26,7 +27,7 @@ from condorcet import (
     tie_probability,
 )
 from condorcet.core import winners_mask
-from conftest import random_culture
+from conftest import random_culture, random_dual_culture
 
 
 def winners(m, counts, mode=WinnerMode.STRONG) -> list[int]:
@@ -45,7 +46,7 @@ def sequence_oracle(culture: Culture, n: int, mode=WinnerMode.STRONG) -> float:
     Margins are tallied straight off the candidate positions of each order in
     the sequence, without any of the library's sign machinery.
     """
-    orders = enumerate_rank_orders(culture.m)
+    orders = list(itertools.permutations(range(culture.m)))
     m = culture.m
     threshold = 1 if mode is WinnerMode.STRONG else 0
     total = 0.0
@@ -77,7 +78,7 @@ def fraction_oracle(m: int, weights, n: int, mode=WinnerMode.STRONG) -> tuple[Fr
     probability and the number of distinct margin vectors reached. Margins are
     tallied straight off the candidate positions of each order.
     """
-    orders = enumerate_rank_orders(m)
+    orders = list(itertools.permutations(range(m)))
     support = [k for k, w in enumerate(weights) if w]
     signs = {}
     for k in support:
@@ -117,7 +118,7 @@ def voter_recursion_m3(n: int) -> float:
     """
     pairs = [(0, 1), (0, 2), (1, 2)]
     shifts = []
-    for order in enumerate_rank_orders(3):
+    for order in itertools.permutations(range(3)):
         pos = {c: r for r, c in enumerate(order)}
         shifts.append(tuple(1 if pos[a] < pos[b] else -1 for a, b in pairs))
     dist = np.zeros((2 * n + 1,) * 3)
@@ -151,6 +152,14 @@ def walk_cultures(m: int) -> list[Culture]:
             support_culture(m, min(k, 3 * m), m)]
 
 
+def marginal(culture: Culture, kept: tuple[int, ...]) -> Culture:
+    """The culture's distribution of its orders restricted to the candidates ``kept``, renumbered from 0."""
+    probs = dict.fromkeys(itertools.permutations(range(len(kept))), 0.0)
+    for order, p in zip(itertools.permutations(range(culture.m)), culture.probs):
+        probs[tuple(kept.index(c) for c in order if c in kept)] += p
+    return Culture(len(kept), np.array(list(probs.values())))
+
+
 def two_voter_weak_oracle(culture: Culture) -> float:
     """Weak winner probability of two voters, over the s^2 ordered pairs of supported orders.
 
@@ -161,7 +170,7 @@ def two_voter_weak_oracle(culture: Culture) -> float:
     """
     m = culture.m
     support = np.flatnonzero(culture.probs)
-    position = np.argsort(np.array(enumerate_rank_orders(m))[support], axis=1)
+    position = np.argsort(np.array(list(itertools.permutations(range(m))))[support], axis=1)
     beats = ((position[:, :, None] <= position[:, None, :]) << np.arange(m)).sum(axis=2)
     won = ((beats[:, None, :] | beats[None, :, :]) == (1 << m) - 1).any(axis=2)
     p = culture.probs[support]
@@ -436,13 +445,45 @@ class TestExactWinnerProbability:
         p[[3, 5]] = 1e-20
         assert exact_winner_probability(Culture(3, p), 9).value == 1.0
 
+    def test_four_candidates_from_their_triples_on_dual_cultures(self):
+        # At odd n the majority relation is a tournament. Its cyclic triangles number 0 in the score
+        # sequence (3,2,1,0), 1 in (3,1,1,1) and (2,2,2,0), and 2 in (2,2,1,1); the last two have no
+        # winner. Reversing every order swaps (3,1,1,1) with (2,2,2,0), so on a dual culture
+        # 1 - P_4 = (1/2) sum over the triples T of (1 - P_3(T)), P_3(T) on the marginal over T.
+        rng = np.random.default_rng(5)
+        triples = list(itertools.combinations(range(4), 3))
+        evaluations = [lambda c, n=n: exact_winner_probability(c, n).value for n in (3, 5, 7)]
+        evaluations.append(lambda c: limiting_probability(c).value)
+        for culture in [impartial_culture(4)] + [random_dual_culture(rng, 4) for _ in range(3)]:
+            marginals = [marginal(culture, t) for t in triples]
+            for evaluate in evaluations:
+                triangles = math.fsum(1.0 - evaluate(c) for c in marginals)
+                assert abs((1.0 - evaluate(culture)) - triangles / 2.0) <= 1e-15
+
+    def test_uniform_values_decrease_in_m_and_n_above_the_limit(self):
+        # The finite-n side of the uniform limit's decrease in m (Kelly; Buckley and Westen).
+        table = {
+            3: {3: 0.944444, 5: 0.930556, 7: 0.924983, 9: 0.922024, 11: 0.920186},
+            4: {3: 0.888889, 5: 0.861111, 7: 0.849966, 9: 0.844048},
+            5: {3: 0.84},
+        }
+        values = {m: {n: exact_winner_probability(impartial_culture(m), n).value for n in row}
+                  for m, row in table.items()}
+        for m, row in values.items():
+            by_n = list(row.values())
+            assert by_n == pytest.approx(list(table[m].values()), abs=5e-7)
+            assert all(a > b for a, b in zip(by_n, by_n[1:]))
+            assert by_n[-1] > ic_limit_sampford(m)
+            if m + 1 in values:
+                assert all(row[n] > values[m + 1][n] for n in values[m + 1])
+
 
 class TestVoterWalk:
     """A few voters over more orders are placed one voter at a time."""
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_closed_forms(self, m):
-        orders = enumerate_rank_orders(m)
+        orders = list(itertools.permutations(range(m)))
         for c in walk_cultures(m):
             for mode in WinnerMode:
                 assert exact_winner_probability(c, 1, mode).value == 1.0
@@ -507,7 +548,7 @@ CYCLIC5 = tuple(cyclic_minimizer_culture(5).support().tolist())
 
 def profile_margins(m: int, support, counts) -> list[int]:
     """Pair margins of a profile, in Python integers, from the orders' candidate positions."""
-    orders = enumerate_rank_orders(m)
+    orders = list(itertools.permutations(range(m)))
     margins = []
     for a, b in itertools.combinations(range(m), 2):
         signs = [1 if orders[k].index(a) < orders[k].index(b) else -1 for k in support]

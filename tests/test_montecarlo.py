@@ -8,7 +8,6 @@ from condorcet import (
     Culture,
     Method,
     WinnerMode,
-    case17_culture,
     cyclic_minimizer_culture,
     exact_winner_probability,
     impartial_culture,
@@ -21,6 +20,7 @@ from condorcet import (
 )
 from condorcet import core, montecarlo
 from conftest import positive_orthant, random_culture, random_dual_culture
+from examples import CASE17
 
 
 def block_streams(entropy, trials: int, block: int):
@@ -301,7 +301,7 @@ class TestConvergenceSweep:
         assert abs(estimates[-1] - limit) <= 4 * stderrs[-1] + 0.01
 
     def test_cycle_culture_decays_to_zero(self):
-        rows = mc_convergence_sweep(case17_culture(), [101, 2001], 100_000, seed=13)
+        rows = mc_convergence_sweep(CASE17, [101, 2001], 100_000, seed=13)
         assert rows[-1][1].value < 0.1
         assert rows[-1][1].value < rows[0][1].value
 

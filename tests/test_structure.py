@@ -18,15 +18,19 @@ MODULES = ("asymptotic", "core", "culture", "exact", "montecarlo", "orthant")
 EXPORTS = (
     "TABLE1", "Culture", "CultureFormatError", "CorrelationMatrixError", "DEFAULT_COMPOSITION_BUDGET",
     "DegenerateVarianceError", "EnumerationBudgetError", "Method", "Table1AuditRow", "Table1Row",
-    "WinnerMode", "WinnerProbability", "audit_table1", "candidate_pairs", "case17_culture", "case7_culture",
+    "WinnerMode", "WinnerProbability", "audit_table1", "candidate_pairs",
     "classify_m3", "correlation_matrix", "culture_from_csv", "culture_from_json", "culture_to_csv",
-    "culture_to_json", "cyclic_minimizer_culture", "enumerate_rank_orders", "equicorrelated_orthant",
+    "culture_to_json", "cyclic_minimizer_culture", "equicorrelated_orthant",
     "exact_winner_probability", "ic_curve", "ic_limit_closed", "ic_limit_sampford", "impartial_culture",
     "is_dual_culture", "lambda_matrix", "limiting_probability", "load_culture_file", "may_bound",
     "mc_convergence_sweep", "minimum_table", "minimum_winner_probability",
-    "order_index", "orthants_mc", "pair_signs", "pairwise_win_probability", "save_culture",
+    "order_index", "orthants_mc", "pair_signs", "save_culture",
     "sign_pattern_culture", "tie_probability",
 )
+# Public names that nothing in the package reads, kept for callers of the library: the paper's
+# quantities (lambda_ij, R_i, May's bound, the pairwise tie) and the printed closed forms of the
+# uniform limit, the reference implementation for m = 3..7.
+LIBRARY_API = ("lambda_matrix", "correlation_matrix", "may_bound", "tie_probability", "ic_limit_closed")
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -114,3 +118,16 @@ def test_all_lists_exactly_the_public_names_of_init():
 def test_exported_names():
     # Adding a name to, or taking one from, the public API is a decision this list records.
     assert sorted(condorcet.__all__) == sorted(EXPORTS)
+
+
+def test_each_public_name_is_read_in_the_package_or_is_library_api():
+    # A public name that the package reads nowhere but in its definition and its __all__ entry serves no
+    # command: it is kept on purpose, in LIBRARY_API, or it belongs in the tests.
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(set(condorcet.__all__) - read) == sorted(LIBRARY_API)
