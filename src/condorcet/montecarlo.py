@@ -5,18 +5,22 @@ the cross-check tying the exact and limiting computations together. Profiles
 are drawn over the culture's support only, in the stream blocks of
 :func:`~condorcet.core.seeded_fraction` seeded from ``[seed, 0]``, so an
 estimate depends only on (seed, trials), not on the thread count, and is
-bit-exact across runs. With at least as many voters as supported orders, a profile is
-one multinomial vector of vote counts; with fewer, each voter's order is drawn
-on its own, through a guide table (C. Chen and R. Asau, "On generating random
-variates from an empirical distribution", AIIE Trans. 6, 1974) that returns
-the same indices as ``Generator.choice`` from the same uniforms, and the
-voters' pair wins are counted in packed lanes: one uint8 lane per pair (uint16
-from 256 voters on) in 64-bit words, summed a word at a time over all voters.
-A lane's count is at most n < s <= 8! < 2**16, so it never carries into its
-neighbour. The lane words of all m! orders are packed once per (m, lane width)
-and cached read-only, as ``pair_signs`` is; a sweep over several n builds its
-guide table once. Either way a block holds about 2**16 vote counts or voter
-choices, so memory stays bounded at any trial count or m.
+bit-exact across runs. With fewer than min(2 s, 2**16) voters, s the number
+of supported orders, each voter's order is drawn on its own, through a guide
+table (C. Chen and R. Asau, "On generating random variates from an empirical
+distribution", AIIE Trans. 6, 1974) that returns the same indices as
+``Generator.choice`` from the same uniforms, and the voters' pair wins are
+counted in packed lanes: one uint8 lane per pair (uint16 from 256 voters on)
+in 64-bit words, summed a word at a time over all voters. A lane's count is at
+most n < 2**16, so it never carries into its neighbour. With more voters, a
+profile is one multinomial vector of vote counts. The boundary was measured:
+at n = 2 s a voter-by-voter trial still costs 1.6-2.1 times less than a
+multinomial one for m = 3, 4 and 5, while a boundary at 4 s made m = 3 runs
+at n = 15 and 20 1.2-1.5 times slower. The lane words of all m! orders are
+packed once per (m, lane width) and cached read-only, as ``pair_signs`` is; a
+sweep over several n builds its guide table once. Either way a block holds
+about 2**16 voter choices or vote counts, so memory stays bounded at any trial
+count or m.
 """
 
 from __future__ import annotations
@@ -97,8 +101,8 @@ class _WinLanes:
     cached words of :func:`_lane_words`: a full support reads them as they
     are, a partial one takes its orders' columns. ``words[w]`` holds word w of
     every supported order, so one gather and one row sum per word add up the
-    wins of all n voters of a trial. A lane's count is at most n, and n < s
-    <= 8! < 2**16 here, so no count carries into the next lane.
+    wins of all n voters of a trial. A lane's count is at most n, and n < 2**16
+    here, so no count carries into the next lane.
     """
 
     def __init__(self, m: int, support: np.ndarray, n: int) -> None:
@@ -138,16 +142,19 @@ def mc_convergence_sweep(
     s = len(support)
     probs = culture.probs[support]
     threshold = mode.margin_threshold
-    guide = _GuideTable(probs) if counts[0] < s else None
-    rows = pair_signs(culture.m)[support].astype(np.int64) if counts[-1] >= s else None  # (s, P)
+    by_voter = min(2 * s, 1 << 16)  # fewer voters are drawn one by one; a uint16 lane counts below 2**16
+    guide = _GuideTable(probs) if counts[0] < by_voter else None
+    rows = pair_signs(culture.m)[support].astype(np.int64) if counts[-1] >= by_voter else None  # (s, P)
 
     def estimate(n: int) -> WinnerProbability:
-        if n < s:
+        if n < by_voter:
+            width = n
             lanes = _WinLanes(culture.m, support, n)
 
             def margins(rng: np.random.Generator, size: int) -> np.ndarray:
                 return lanes.margins(guide.lookup(rng.random((size, n))))
         else:
+            width = s
 
             def margins(rng: np.random.Generator, size: int) -> np.ndarray:
                 return rng.multinomial(n, probs, size=size) @ rows
@@ -156,7 +163,7 @@ def mc_convergence_sweep(
             mask = winners_mask(margins(rng, size), culture.m, threshold)
             return [np.count_nonzero(mask.any(axis=0))]
 
-        [(value, stderr)] = seeded_fraction([seed, 0], trials, min(n, s), hits)
+        [(value, stderr)] = seeded_fraction([seed, 0], trials, width, hits)
         detail = {"trials": trials, "seed": seed}
         return WinnerProbability(value, Method.MONTE_CARLO, stderr=stderr, detail=detail)
 

@@ -140,15 +140,22 @@ def _normal_rows(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
     Draws n = ceil(rows * d / 2) float32 uniforms u, then n more v, and takes
     r = sqrt(-2 log(1 - u)) and theta = 2 pi v in float32; 1 - u lies in (0, 1],
     so r is finite. The block is r cos(theta), then r sin(theta), filled row by
-    row and cut to rows * d values.
+    row and cut to rows * d values. The uniforms are k 2**-24 for the top 24
+    bits k of each 32-bit half of n raw PCG64 words, low half first: on a
+    little-endian host these are the bits of ``rng.random((2, n), float32)``,
+    without its scalar loop. 1 - u is formed exactly as 2**24 - k, and 2**-24
+    is folded into the 2 pi factor, which is exact for a power of two.
     """
     n = -(-rows * d // 2)
-    r, theta = rng.random((2, n), dtype=np.float32)
-    np.subtract(np.float32(1.0), r, out=r)
+    k = rng.bit_generator.random_raw(n).view(np.uint32)
+    k >>= 8
+    u, v = k.reshape(2, n)
+    np.subtract(np.uint32(1 << 24), u, out=u)
+    r = np.multiply(u, np.float32(2.0**-24), dtype=np.float32)
     np.log(r, out=r)
     r *= np.float32(-2.0)
     np.sqrt(r, out=r)
-    theta *= np.float32(_TWO_PI)
+    theta = np.multiply(v, np.float32(_TWO_PI * 2.0**-24), dtype=np.float32)
     z = np.empty((2, n))
     np.multiply(np.cos(theta), r, out=z[0])  # a float32 product, stored as float64
     np.multiply(np.sin(theta), r, out=z[1])

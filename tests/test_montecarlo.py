@@ -68,8 +68,9 @@ class TestDeterminism:
 
         def estimates():
             return (
-                mc_convergence_sweep(c, [6], **weak),  # n >= s: 4 blocks
+                mc_convergence_sweep(c, [13], **weak),  # n >= 2 s, by count: 4 blocks
                 mc_convergence_sweep(impartial_culture(4), [5], **weak),  # 5 voters, 24 orders: 4 blocks
+                mc_convergence_sweep(impartial_culture(4), [30], **weak),  # s <= n < 2 s, by voter: 19 blocks
                 [orthants_mc(r, positive_orthant(4), k, (5, 2))[0] for k in counts],
                 limiting_probability(dual, mc_samples=30_001, mc_seed=4),  # 3 blocks
             )
@@ -106,22 +107,52 @@ class TestDeterminism:
         assert value == expected / trials
 
     def test_full_support_stream_is_pinned(self):
-        # With full support and n >= m! the draw is the multinomial over all
+        # With full support and n >= 2 m! the draw is the multinomial over all
         # orders; these values pin its stream, which the mc-deep workload uses.
-        [(_, r)] = mc_convergence_sweep(impartial_culture(3), [7], 50_000, seed=42)
-        assert r.value == 0.92756
+        [(_, r)] = mc_convergence_sweep(impartial_culture(3), [13], 50_000, seed=42)
+        assert r.value == 0.92018
         weights = np.arange(1, 25) % 3 + 1
         dense = Culture(4, weights / weights.sum())
         assert mc_convergence_sweep(dense, [101], 20_000, seed=3)[0][1].value == 0.83815
 
     def test_voter_stream_is_pinned(self):
-        # With n < s each voter's order is drawn on its own, as Generator.choice
+        # With n < 2 s each voter's order is drawn on its own, as Generator.choice
         # draws it; these values pin that stream, which the mc-wide workload uses.
+        assert mc_convergence_sweep(impartial_culture(3), [7], 50_000, seed=42)[0][1].value == 0.92736
         assert mc_convergence_sweep(impartial_culture(6), [101], 2_000, 1)[0][1].value == 0.682
         sparse = sparse_culture(8, 60, seed=8)
         assert mc_convergence_sweep(sparse, [31], 3_000, 2)[0][1].value == 1_652 / 3_000
         assert mc_convergence_sweep(impartial_culture(4), [10], 20_000, 3, WinnerMode.WEAK)[0][1].value == 0.9744
         assert mc_convergence_sweep(impartial_culture(6), [257], 500, 1)[0][1].value == 0.68
+
+    @pytest.mark.parametrize(
+        "culture, n",
+        [
+            (impartial_culture(3), 11),
+            (impartial_culture(3), 12),
+            (sparse_culture(5, 8, seed=4), 15),
+            (sparse_culture(5, 8, seed=4), 16),
+            (impartial_culture(8), (1 << 16) - 1),  # below 2 s = 80 640, but a uint16 lane holds no more
+            (impartial_culture(8), 1 << 16),
+        ],
+        ids=["ic3-n11", "ic3-n12", "sparse5-n15", "sparse5-n16", "ic8-n65535", "ic8-n65536"],
+    )
+    def test_voters_below_twice_the_support_are_drawn_one_by_one(self, culture, n):
+        # Below min(2 s, 2**16) voters each trial is n choices, 2**16 // n trials a
+        # block; from there it is one multinomial vector, 2**16 // s trials a block.
+        support = culture.support()
+        s, probs, rows = len(support), culture.probs[support], pair_signs(culture.m)[support].astype(np.int64)
+        by_voter = n < min(2 * s, 1 << 16)
+        trials = 2 if culture.m == 8 else 20_000
+        margins = []
+        for rng, size in block_streams([7, 0], trials, max(1, (1 << 16) // (n if by_voter else s))):
+            if by_voter:
+                margins.append(rows[rng.choice(s, (size, n), p=probs)].sum(axis=1))
+            else:
+                margins.append(rng.multinomial(n, probs, size=size) @ rows)
+        wins = core.winners_mask(np.concatenate(margins), culture.m, 1).any(axis=0)
+        [(_, r)] = mc_convergence_sweep(culture, [n], trials, seed=7)
+        assert r.value == np.count_nonzero(wins) / trials
 
 
 def _test_probs(kind: str, s: int) -> np.ndarray:
@@ -191,6 +222,18 @@ class TestWinLanes:
                 [(_, r)] = mc_convergence_sweep(culture, [n], trials, seed=n, mode=mode)
                 assert r.value == np.count_nonzero(wins) / trials
 
+    @pytest.mark.parametrize("kind", ["uniform", "sparse"])
+    def test_uint16_lanes_hold_the_largest_voter_count(self, kind):
+        # n = 2**16 - 1 is the most voters drawn one by one; every sparse voter wins
+        # pair (0, 1), so that lane holds 65 535, the most a uint16 lane can.
+        culture = impartial_culture(8) if kind == "uniform" else unanimous_pair_culture(8, 300, 8)
+        support, n = culture.support(), (1 << 16) - 1
+        [(rng, _)] = block_streams([n, 0], 1, 1)
+        idx = rng.choice(len(support), (1, n), p=culture.probs[support])
+        expected = pair_signs(8)[support][idx].sum(axis=1, dtype=np.int64)
+        assert np.array_equal(montecarlo._WinLanes(8, support, n).margins(idx), expected)
+        if kind == "sparse":
+            assert expected[0, 0] == n
 
     @pytest.mark.parametrize("itemsize", [1, 2])
     @pytest.mark.parametrize("m", range(3, 9))
@@ -239,9 +282,10 @@ class TestEstimates:
             (impartial_culture(4), 7),
             (cyclic_minimizer_culture(3), 2),
             (sparse_culture(5, 8, seed=4), 5),  # fewer voters than orders: drawn by voter
-            (sparse_culture(5, 8, seed=4), 11),  # more voters than orders: drawn by count
+            (sparse_culture(5, 8, seed=4), 11),  # more voters than orders, fewer than twice: by voter
+            (sparse_culture(5, 8, seed=4), 16),  # twice as many voters as orders: drawn by count
         ],
-        ids=["ic4-n5", "ic4-n7", "cyclic3-n2", "sparse5-n5", "sparse5-n11"],
+        ids=["ic4-n5", "ic4-n7", "cyclic3-n2", "sparse5-n5", "sparse5-n11", "sparse5-n16"],
     )
     def test_pruned_draws_match_exact(self, culture, n):
         exact = exact_winner_probability(culture, n).value
@@ -306,8 +350,8 @@ class TestConvergenceSweep:
         assert rows[-1][1].value < rows[0][1].value
 
     def test_rows_equal_single_estimates(self, monkeypatch):
-        # n = 51 and 300 draw by voter in uint8 and uint16 lanes, n = 5041 >= 7! by count.
-        c, ns = impartial_culture(7), [51, 300, 5041]
+        # n = 51 and 300 draw by voter in uint8 and uint16 lanes, n = 10 080 = 2 * 7! by count.
+        c, ns = impartial_culture(7), [51, 300, 10_080]
         built = []
         guide = montecarlo._GuideTable
         monkeypatch.setattr(montecarlo, "_GuideTable", lambda probs: built.append(1) or guide(probs))

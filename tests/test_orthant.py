@@ -285,14 +285,28 @@ class TestOrthantMc:
 
 
 class _FixedUniforms:
-    """Stands in for a Generator: ``random`` returns the given float32 uniforms, shape (2, n)."""
+    """Stands in for a Generator whose raw words carry the given float32 uniforms, shape (2, n).
+
+    Uniform u is the 32-bit half (u 2**24) << 8 of a raw 64-bit word, low half
+    first, as numpy's float32 draw reads the halves on a little-endian host.
+    """
 
     def __init__(self, uniforms):
-        self.uniforms = np.array(uniforms, dtype=np.float32)
+        halves = (np.array(uniforms, dtype=np.float64) * 2**24).astype(np.uint32) << 8
+        self.words = halves.ravel().view(np.uint64)
+        self.bit_generator = self
 
-    def random(self, shape, dtype):
-        assert dtype is np.float32 and shape == self.uniforms.shape
-        return self.uniforms.copy()
+    def random_raw(self, n):
+        assert n == self.words.size
+        return self.words.copy()
+
+
+def _box_muller(uniforms, rows, d):
+    """The block of ``orthant._normal_rows`` from float32 uniforms (u, v), spelled out."""
+    u, v = np.asarray(uniforms, dtype=np.float32)
+    r = np.sqrt(-2.0 * np.log(np.float32(1.0) - u, dtype=np.float32))
+    theta = np.float32(2.0 * math.pi) * v
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[: rows * d].reshape(rows, d)
 
 
 class TestNormalRows:
@@ -327,10 +341,21 @@ class TestNormalRows:
     def test_rows_read_cosines_then_sines(self):
         # The block is r cos(theta) for every pair, then r sin(theta), cut to rows * d values.
         uniforms = [[0.5, 0.75, 0.25], [0.0, 0.25, 0.5]]
-        r = np.sqrt(-2.0 * np.log(np.float32(1.0) - np.float32(uniforms[0]), dtype=np.float32))
-        theta = np.float32(2.0 * math.pi) * np.float32(uniforms[1])
-        expected = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:5].reshape(5, 1)
+        expected = _box_muller(uniforms, 5, 1)
         assert np.array_equal(orthant._normal_rows(_FixedUniforms(uniforms), 5, 1), expected)
+
+    @pytest.mark.skipif(sys.byteorder != "little", reason="the raw words' low half comes first only here")
+    @pytest.mark.parametrize("rows, d", [(5, 1), (6, 1), (7, 3), (6553, 10)])  # n = 3, 3, 11, 32765
+    @pytest.mark.parametrize("seed", [0, 29])
+    def test_uniforms_are_numpys_float32_draw(self, seed, rows, d):
+        # The top 24 bits of each raw 32-bit half, times 2**-24, are rng.random((2, n), float32), bit
+        # for bit, for odd and even n; so the block is the Box-Muller of numpy's own float32 draw.
+        n = -(-rows * d // 2)
+        uniforms = np.random.default_rng(seed).random((2, n), dtype=np.float32)
+        k = np.random.default_rng(seed).bit_generator.random_raw(n).view(np.uint32) >> 8
+        assert np.array_equal(k.reshape(2, n) * np.float32(2.0**-24), uniforms)
+        z = orthant._normal_rows(np.random.default_rng(seed), rows, d)
+        assert z.dtype == np.float64 and np.array_equal(z, _box_muller(uniforms, rows, d))
 
     def test_same_bits_without_avx512(self):
         # The float32 log, sqrt, sin and cos loops must give the same bits with numpy's AVX-512
